@@ -10,7 +10,6 @@ from .cochains import (
     QMODZ,
     Z2,
     Z4,
-    cohomology_basis,
     cup,
     cup_i,
     d,

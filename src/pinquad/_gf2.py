@@ -7,7 +7,7 @@ in the order given.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 def low_bit(x: int) -> int:
@@ -43,12 +43,19 @@ class Echelon:
             self.rows[low_bit(bits)] = (bits, track)
         return bits, track
 
-    def contains(self, bits: int) -> bool:
-        return self.reduce(bits)[0] == 0
-
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+def combine(cols: Sequence[int], bits: int) -> int:
+    """XOR of cols[j] over the set bits j of bits."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out ^= cols[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 def rank(rows: List[int]) -> int:

@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--engine", choices=("formula", "bruteforce"), default="formula")
-    p.add_argument("--budget-log2", type=int, default=24)
+    p.add_argument("--budget-log2", type=int, default=20)
     p.set_defaults(func=_cmd_ggroup)
 
     p = sub.add_parser("identities", help="randomized identity suites")
@@ -308,10 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (ParseError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PinquadError as e:

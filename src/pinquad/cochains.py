@@ -19,10 +19,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._gf2 import Echelon, low_bit, nullspace
-from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex
+from ._gf2 import Echelon, combine, low_bit, nullspace
+from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached
 from .errors import (
     ComplexMismatch,
+    InvariantViolation,
     NotACocycle,
     NotRelative,
     OrientationRequired,
@@ -170,12 +171,6 @@ def view_z4_qmodz(c: Cochain) -> Cochain:
     )
 
 
-def reduce_mod2(c: Cochain) -> Cochain:
-    if c.ring not in (INT, Z4):
-        raise RingMismatch("expected an Int or Z4 cochain")
-    return Cochain(c.complex, c.degree, Z2, {s: v % 2 for s, v in c.values.items()})
-
-
 # -- coboundary ----------------------------------------------------------
 
 
@@ -195,6 +190,61 @@ def d(c: Cochain) -> Cochain:
             if total:
                 vals[tau] = total
     return Cochain(x, k + 1, c.ring, vals)
+
+
+# -- the mod-2 coboundary as bits -----------------------------------------
+
+
+def _index(pair: ComplexPair, k: int) -> Dict[Simplex, int]:
+    """Position of each relative k-simplex in the canonical enumeration."""
+    return cached(pair, ("index", k), lambda: {
+        s: j for j, s in enumerate(pair.relative_simplices(k))})
+
+
+def to_bits(pair: ComplexPair, c: Cochain) -> int:
+    """A relative Z2 cochain as bits over the relative simplices."""
+    if c.ring != Z2:
+        raise RingMismatch("solver works over Z2")
+    idx = _index(pair, c.degree)
+    bits = 0
+    for s, v in c.values.items():
+        j = idx.get(s)
+        if j is None:
+            raise NotRelative(f"{s} lies in the subcomplex")
+        if v:
+            bits |= 1 << j
+    return bits
+
+
+def from_bits(pair: ComplexPair, k: int, bits: int) -> Cochain:
+    """The Z2 k-cochain whose support is the relative simplices in bits."""
+    simplices = pair.relative_simplices(k)
+    vals = {}
+    while bits:
+        j = low_bit(bits)
+        bits &= bits - 1
+        vals[simplices[j]] = 1
+    return Cochain(pair.ambient, k, Z2, vals)
+
+
+def coboundary_bits(pair: ComplexPair, k: int) -> List[int]:
+    """The mod-2 coboundary from relative k- to relative (k+1)-cochains.
+
+    Entry j is d of the j-th relative k-simplex, as bits over the relative
+    (k+1)-simplices, both in canonical order.  Built once per pair and
+    degree; callers must not mutate it.
+    """
+    def build() -> List[int]:
+        idx = _index(pair, k)
+        cols = [0] * len(idx)
+        for ja, tau in enumerate(pair.relative_simplices(k + 1)):
+            for face in itertools.combinations(tau, k + 1):
+                j = idx.get(face)
+                if j is not None:
+                    cols[j] |= 1 << ja
+        return cols
+
+    return cached(pair, ("coboundary", k), build)
 
 
 # -- cup_i products ------------------------------------------------------
@@ -352,37 +402,14 @@ class CohomologySolver:
     def __init__(self, pair: ComplexPair, degree: int) -> None:
         self.pair = pair
         self.degree = degree
-        k = degree
-        self.simplices: Tuple[Simplex, ...] = pair.relative_simplices(k)
-        self._below: Tuple[Simplex, ...] = pair.relative_simplices(k - 1) if k > 0 else ()
-        self._above: Tuple[Simplex, ...] = pair.relative_simplices(k + 1)
-        self._idx = {s: j for j, s in enumerate(self.simplices)}
-        below_idx = {s: j for j, s in enumerate(self._below)}
-
-        # image of each k-simplex under d, as bits over the (k+1)-simplices
-        cols = [0] * len(self.simplices)
-        for ja, tau in enumerate(self._above):
-            for face in itertools.combinations(tau, k + 1):
-                jj = self._idx.get(face)
-                if jj is not None:
-                    cols[jj] |= 1 << ja
-        self._up = cols
+        self.simplices: Tuple[Simplex, ...] = pair.relative_simplices(degree)
 
         # coboundaries of (k-1)-simplices, with preimage tracking
-        boundary_rows = [0] * len(self._below)
-        for j, s in enumerate(self.simplices):
-            if k == 0:
-                break
-            for face in itertools.combinations(s, k):
-                jb = below_idx.get(face)
-                if jb is not None:
-                    boundary_rows[jb] |= 1 << j
-        self._boundary_rows = boundary_rows
         bech = Echelon()
-        for jb, row in enumerate(boundary_rows):
+        for jb, row in enumerate(coboundary_bits(pair, degree - 1)):
             bech.add(row, 1 << jb)
 
-        kernel = nullspace(cols)
+        kernel = nullspace(coboundary_bits(pair, degree))
         reps: List[int] = []
         self._rows: Dict[int, Tuple[int, int, int]] = {}  # pivot -> (bits, coords, pre)
         for piv, (bits, pre) in sorted(bech.rows.items()):
@@ -403,33 +430,13 @@ class CohomologySolver:
         for j, r in enumerate(reps):
             self._rows[low_bit(r)] = (r, 1 << j, 0)
         self._rep_bits = reps
-        self.basis: Tuple[Cochain, ...] = tuple(self.from_bits(r) for r in reps)
+        self.basis: Tuple[Cochain, ...] = tuple(from_bits(pair, degree, r) for r in reps)
 
     # -- representation helpers ------------------------------------------
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def to_bits(self, c: Cochain) -> int:
-        if c.ring != Z2:
-            raise RingMismatch("solver works over Z2")
-        bits = 0
-        for s, v in c.values.items():
-            j = self._idx.get(s)
-            if j is None:
-                raise NotRelative(f"{s} lies in the subcomplex")
-            if v:
-                bits |= 1 << j
-        return bits
-
-    def from_bits(self, bits: int) -> Cochain:
-        vals = {}
-        while bits:
-            j = low_bit(bits)
-            bits &= bits - 1
-            vals[self.simplices[j]] = 1
-        return Cochain(self.pair.ambient, self.degree, Z2, vals)
 
     def _reduce(self, bits: int, coords: int = 0, pre: int = 0):
         while bits:
@@ -442,25 +449,6 @@ class CohomologySolver:
             pre ^= row[2]
         return bits, coords, pre
 
-    def d_bits(self, bits: int) -> int:
-        out = 0
-        while bits:
-            j = low_bit(bits)
-            bits &= bits - 1
-            out ^= self._up[j]
-        return out
-
-    def is_cocycle_bits(self, bits: int) -> bool:
-        return self.d_bits(bits) == 0
-
-    def _pre_to_cochain(self, pre: int) -> Cochain:
-        vals = {}
-        while pre:
-            j = low_bit(pre)
-            pre &= pre - 1
-            vals[self._below[j]] = 1
-        return Cochain(self.pair.ambient, self.degree - 1, Z2, vals)
-
     # -- the decompose-and-correct pattern --------------------------------
 
     def decompose(self, p: Cochain) -> Tuple[Tuple[int, ...], Cochain]:
@@ -472,42 +460,21 @@ class CohomologySolver:
             raise ComplexMismatch("cocycle lives on a different complex")
         if p.degree != self.degree:
             raise ValueError("wrong degree")
-        bits = self.to_bits(p)
-        if self.d_bits(bits):
+        bits = to_bits(self.pair, p)
+        if combine(coboundary_bits(self.pair, self.degree), bits):
             raise NotACocycle("dp != 0")
         r, coords, pre = self._reduce(bits)
         if r:
             raise NotACocycle("cocycle space bookkeeping failed")
+        dpre = combine(coboundary_bits(self.pair, self.degree - 1), pre)
+        if combine(self._rep_bits, coords) ^ dpre != bits:
+            raise InvariantViolation("decomposition identity failed")
         a = tuple((coords >> j) & 1 for j in range(self.dim))
-        cert = self._pre_to_cochain(pre)
-        check = 0
-        for j, bit in enumerate(a):
-            if bit:
-                check ^= self._rep_bits[j]
-        assert check ^ self._d_of_pre(pre) == bits, "decomposition identity failed"
-        return a, cert
-
-    def _d_of_pre(self, pre: int) -> int:
-        out = 0
-        while pre:
-            j = low_bit(pre)
-            pre &= pre - 1
-            out ^= self._boundary_rows[j]
-        return out
-
-    def class_coords(self, p: Cochain) -> Tuple[int, ...]:
-        return self.decompose(p)[0]
+        return a, from_bits(self.pair, self.degree - 1, pre)
 
     def reconstruct(self, coords: Sequence[int]) -> Cochain:
-        bits = 0
-        for j, a in enumerate(coords):
-            if a % 2:
-                bits ^= self._rep_bits[j]
-        return self.from_bits(bits)
-
-
-def cohomology_basis(pair: ComplexPair, k: int) -> CohomologySolver:
-    return CohomologySolver(pair, k)
+        bits = sum((a % 2) << j for j, a in enumerate(coords))
+        return from_bits(self.pair, self.degree, combine(self._rep_bits, bits))
 
 
 def wu_v2_check(m: ManifoldPair) -> Optional[Cochain]:

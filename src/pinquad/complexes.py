@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BoundaryNotFull,
@@ -43,7 +43,6 @@ class OrderedComplex:
         self._simplex_set = frozenset(
             s for sims in self.simplices_by_dim.values() for s in sims
         )
-        self._index: Dict[int, Dict[Simplex, int]] = {}
         self._check()
 
     def _check(self) -> None:
@@ -69,10 +68,6 @@ class OrderedComplex:
     def vertices(self) -> Tuple[int, ...]:
         return tuple(s[0] for s in self.simplices_by_dim.get(0, ()))
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.simplices_by_dim.get(0, ()))
-
     def simplices(self, k: int) -> Tuple[Simplex, ...]:
         return self.simplices_by_dim.get(k, ())
 
@@ -82,12 +77,6 @@ class OrderedComplex:
 
     def has_simplex(self, s: Simplex) -> bool:
         return tuple(s) in self._simplex_set
-
-    def index(self, k: int) -> Dict[Simplex, int]:
-        """Position of each k-simplex in the canonical (sorted) enumeration."""
-        if k not in self._index:
-            self._index[k] = {s: j for j, s in enumerate(self.simplices(k))}
-        return self._index[k]
 
     def f_vector(self) -> Tuple[int, ...]:
         return tuple(len(self.simplices(k)) for k in range(self.dim + 1))
@@ -177,11 +166,6 @@ class SimplicialMap:
         img = tuple(self.vertex_map[v] for v in s)
         return img if len(set(img)) == len(img) else None
 
-    def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
-        """self after inner (inner.source -> self.target)."""
-        vm = {v: self.vertex_map[w] for v, w in inner.vertex_map.items()}
-        return SimplicialMap(inner.source, self.target, vm)
-
     def __repr__(self) -> str:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
 
@@ -204,12 +188,14 @@ class ComplexPair:
                     if face not in self.sub:
                         raise ValueError(f"sub not face-closed at {s}")
         self.sub_vertices = frozenset(s[0] for s in self.sub if len(s) == 1)
+        self.cache: Dict[object, object] = {}
 
     def in_sub(self, s: Simplex) -> bool:
         return tuple(s) in self.sub
 
     def relative_simplices(self, k: int) -> Tuple[Simplex, ...]:
-        return tuple(s for s in self.ambient.simplices(k) if s not in self.sub)
+        return cached(self, ("simplices", k), lambda: tuple(
+            s for s in self.ambient.simplices(k) if s not in self.sub))
 
     def sub_complex(self) -> OrderedComplex:
         by_dim: Dict[int, List[Simplex]] = {}
@@ -224,6 +210,19 @@ class ComplexPair:
 
 def absolute_pair(x: OrderedComplex) -> ComplexPair:
     return ComplexPair(x, ())
+
+
+def cached(owner, key, build: Callable[[], object]):
+    """The memo of an object with a ``cache`` dict: build() on the first
+    request for key, the stored value after.
+
+    Derived data of a complex lives on the pair objects and never on the
+    shared OrderedComplex, so a new pair over the same complex starts cold.
+    """
+    cache = owner.cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 # -- manifolds -----------------------------------------------------------
@@ -254,7 +253,7 @@ class ManifoldPair:
         self.orientation = dict(orientation) if orientation is not None else None
         self.boundary_full = boundary_full
         self.ordering_ok = ordering_ok
-        self._boundary_cache: Optional[OrderedComplex] = None
+        self.cache: Dict[object, object] = {}
 
     @property
     def complex(self) -> OrderedComplex:
@@ -275,9 +274,11 @@ class ManifoldPair:
     def boundary_complex(self) -> OrderedComplex:
         if not self.pair.sub:
             raise EmptyBoundary("manifold is closed")
-        if self._boundary_cache is None:
-            self._boundary_cache = self.pair.sub_complex()
-        return self._boundary_cache
+        return cached(self, "boundary_complex", self.pair.sub_complex)
+
+    def absolute(self) -> ComplexPair:
+        """(X, empty) on this manifold's complex, one object per manifold."""
+        return cached(self, "absolute", lambda: ComplexPair(self.complex, ()))
 
     def __repr__(self) -> str:
         kind = "closed" if self.closed else "bounded"

@@ -97,6 +97,10 @@ class BudgetExceeded(PinquadError):
     """Brute-force enumeration would exceed the size budget."""
 
 
+class InvariantViolation(PinquadError):
+    """An internal consistency check failed: the computed result is wrong."""
+
+
 class DegreeZero(PinquadError):
     """Push-forward needs a map of odd mod-2 degree."""
 

@@ -17,23 +17,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ._gf2 import Echelon, low_bit, nullspace, rank
+from . import _gf2
+from ._gf2 import Echelon, combine, low_bit, nullspace, rank
 from .cochains import (
     Cochain,
     CohomologySolver,
     QMODZ,
     Z2,
+    coboundary_bits,
     cup_i,
     d,
     dual_cochain,
     embed_z2_qmodz,
+    from_bits,
     integrate,
     pullback,
     sq,
+    to_bits,
     zero_cochain,
 )
-from .complexes import ComplexPair, ManifoldPair, SimplicialMap
-from .errors import BudgetExceeded, NotACocycle, NotRelative, PairMismatch
+from .complexes import ComplexPair, ManifoldPair, SimplicialMap, cached
+from .errors import (
+    BudgetExceeded,
+    InvariantViolation,
+    NotACocycle,
+    NotRelative,
+    PairMismatch,
+)
 from .quadratic import PIN, SPIN, QuadraticFunction, eval_quadratic, make_quadratic
 
 __all__ = [
@@ -153,12 +163,7 @@ class _SequenceData:
         self.phi_cols = [coords_bits(self.s_n, sq(1, p)) for p in self.s_nm1.basis]
 
     def phi_of(self, combo_bits: int) -> int:
-        out = 0
-        while combo_bits:
-            j = low_bit(combo_bits)
-            combo_bits &= combo_bits - 1
-            out ^= self.phi_cols[j]
-        return out
+        return combine(self.phi_cols, combo_bits)
 
     @property
     def qh_dim(self) -> int:
@@ -180,11 +185,7 @@ class _SequenceData:
 
 
 def _sequence_data(pair: ComplexPair, n: int) -> _SequenceData:
-    if not hasattr(pair, "_gg_cache"):
-        pair._gg_cache = {}
-    if n not in pair._gg_cache:
-        pair._gg_cache[n] = _SequenceData(pair, n)
-    return pair._gg_cache[n]
+    return cached(pair, ("sequence", n), lambda: _SequenceData(pair, n))
 
 
 def qh_sh(pair: ComplexPair, n: int, mode: str = PIN) -> Tuple[int, int, int]:
@@ -213,32 +214,10 @@ class GGroupStructure:
 
 def _solve_dw(pair: ComplexPair, n: int, target: Cochain) -> Cochain:
     """A particular w with dw = target among relative n-cochains."""
-    x = pair.ambient
-    n_simps = pair.relative_simplices(n)
-    np1 = pair.relative_simplices(n + 1)
-    if target.is_zero() or not np1:
-        return zero_cochain(x, n, Z2)
-    np1_idx = {s: j for j, s in enumerate(np1)}
-    ech = Echelon()
-    for j, s in enumerate(n_simps):
-        bits = 0
-        for t, v in d(dual_cochain(x, s)).values.items():
-            if v and t in np1_idx:
-                bits |= 1 << np1_idx[t]
-        ech.add(bits, 1 << j)
-    tbits = 0
-    for s, v in target.values.items():
-        if v:
-            tbits |= 1 << np1_idx[s]
-    rem, track = ech.reduce(tbits)
-    if rem:
+    track = _gf2.solve(coboundary_bits(pair, n), to_bits(pair, target))
+    if track is None:
         raise NotACocycle("Sq^2 p is not a relative coboundary")
-    vals = {}
-    while track:
-        j = low_bit(track)
-        track &= track - 1
-        vals[n_simps[j]] = 1
-    return Cochain(x, n, Z2, vals)
+    return from_bits(pair, n, track)
 
 
 def g_pin(pair: ComplexPair, n: int) -> GGroupStructure:
@@ -266,12 +245,7 @@ def g_pin(pair: ComplexPair, n: int) -> GGroupStructure:
             ech.add(phi_bits, 1 << len(picks4))
             picks4.append(kv)
         else:
-            corrected = kv
-            while track:
-                j = low_bit(track)
-                track &= track - 1
-                corrected ^= picks4[j]
-            sh2.append(corrected)
+            sh2.append(kv ^ combine(picks4, track))
 
     def sh_cert(kv: int) -> GPair:
         p = _combo(data.s_nm1, kv)
@@ -290,7 +264,9 @@ def g_pin(pair: ComplexPair, n: int) -> GGroupStructure:
                               zero_cochain(pair.ambient, n - 1, Z2)))
             orders.append(2)
     summands = tuple(sorted(orders, reverse=True))
-    assert summands == (4,) * rphi + (2,) * (sh - rphi) + (2,) * (qh - rphi)
+    if summands != (4,) * rphi + (2,) * (sh - rphi) + (2,) * (qh - rphi):
+        raise InvariantViolation(f"generator orders {summands} disagree with "
+                                 f"the exact sequence {(qh, sh, rphi)}")
     return GGroupStructure(
         n=n,
         dims=(qh, sh, rphi),
@@ -301,12 +277,7 @@ def g_pin(pair: ComplexPair, n: int) -> GGroupStructure:
 
 
 def _combo(solver: CohomologySolver, bits: int) -> Cochain:
-    out = zero_cochain(solver.pair.ambient, solver.degree, Z2)
-    while bits:
-        j = low_bit(bits)
-        bits &= bits - 1
-        out = out + solver.basis[j]
-    return out
+    return from_bits(solver.pair, solver.degree, combine(solver._rep_bits, bits))
 
 
 def g_is_trivial(a: GPair) -> bool:
@@ -363,51 +334,17 @@ class _UnionFind:
 
 
 def g_pin_bruteforce(pair: ComplexPair, n: int,
-                     size_budget: int = 1 << 24) -> GGroupStructure:
+                     size_budget: int = 1 << 20) -> GGroupStructure:
     """Enumerate all pairs, merge cosets of the relation subgroup, and read
     off the abelian profile.  Exact; feasible at fixture scale."""
     x = pair.ambient
     e_list = pair.relative_simplices(n - 1)
-    t_list = pair.relative_simplices(n - 2) if n >= 2 else ()
-    n_list = pair.relative_simplices(n)
-    ne, nn = len(e_list), len(n_list)
-    e_idx = {s: j for j, s in enumerate(e_list)}
-    n_idx = {s: j for j, s in enumerate(n_list)}
-
-    def p_bits_of(c: Cochain) -> int:
-        bits = 0
-        for s, v in c.values.items():
-            if v:
-                bits |= 1 << e_idx[s]
-        return bits
-
-    def n_bits_of(c: Cochain) -> int:
-        bits = 0
-        for s, v in c.values.items():
-            if v:
-                bits |= 1 << n_idx[s]
-        return bits
-
-    def p_cochain(bits: int) -> Cochain:
-        vals = {}
-        while bits:
-            j = low_bit(bits)
-            bits &= bits - 1
-            vals[e_list[j]] = 1
-        return Cochain(x, n - 1, Z2, vals)
+    ne = len(e_list)
 
     # cocycle spaces
-    d_cols_p = [n_bits_of(d(dual_cochain(x, e))) for e in e_list]
+    d_cols_p = coboundary_bits(pair, n - 1)
     z_p = nullspace(d_cols_p)
-    np1_list = pair.relative_simplices(n + 1)
-    np1_idx = {s: j for j, s in enumerate(np1_list)}
-    d_cols_w = []
-    for s in n_list:
-        bits = 0
-        for t, v in d(dual_cochain(x, s)).values.items():
-            if v and t in np1_idx:
-                bits |= 1 << np1_idx[t]
-        d_cols_w.append(bits)
+    d_cols_w = coboundary_bits(pair, n)
     z_w = nullspace(d_cols_w)
 
     total = 1 << (len(z_p) + len(z_w))
@@ -422,48 +359,25 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     elems: List[int] = []
     index: Dict[int, int] = {}
     for a in range(1 << len(z_p)):
-        pb = 0
-        ab = a
-        while ab:
-            j = low_bit(ab)
-            ab &= ab - 1
-            pb ^= z_p[j]
-        p = p_cochain(pb)
-        sq2 = sq(2, p)
-        if sq2.is_zero() or not np1_list:
-            w0 = 0
-            solvable = sq2.is_zero()
-        else:
-            tb = 0
-            for s, v in sq2.values.items():
-                if v:
-                    tb |= 1 << np1_idx[s]
-            rem, w0 = wech.reduce(tb)
-            solvable = rem == 0
-        if not solvable:
+        pb = combine(z_p, a)
+        rem, w0 = wech.reduce(to_bits(pair, sq(2, from_bits(pair, n - 1, pb))))
+        if rem:
             continue
         for b in range(1 << len(z_w)):
-            wb = w0
-            bb = b
-            while bb:
-                j = low_bit(bb)
-                bb &= bb - 1
-                wb ^= z_w[j]
-            packed = (wb << ne) | pb
+            packed = ((w0 ^ combine(z_w, b)) << ne) | pb
             index[packed] = len(elems)
             elems.append(packed)
 
     # relation generators and their cup rows
     gens: List[Tuple[int, int, List[int]]] = []  # (w bits, p bits, cup rows)
     def cup_rows(rp: Cochain) -> List[int]:
-        return [n_bits_of(cup_i(dual_cochain(x, e), rp, n - 2)) for e in e_list]
+        return [to_bits(pair, cup_i(dual_cochain(x, e), rp, n - 2)) for e in e_list]
 
-    for e in e_list:
-        f = dual_cochain(x, e)
-        gens.append((n_bits_of(d(f)), 0, cup_rows(zero_cochain(x, n - 1, Z2))))
-    for t in t_list:
-        c = dual_cochain(x, t)
-        gens.append((n_bits_of(sq(2, c)), p_bits_of(d(c)), cup_rows(d(c))))
+    for rw in d_cols_p:
+        gens.append((rw, 0, [0] * ne))
+    for t, rp in zip(pair.relative_simplices(n - 2), coboundary_bits(pair, n - 2)):
+        gens.append((to_bits(pair, sq(2, dual_cochain(x, t))), rp,
+                     cup_rows(from_bits(pair, n - 1, rp))))
 
     uf = _UnionFind(len(elems))
     mask_e = (1 << ne) - 1
@@ -492,7 +406,8 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
         pk1, pk2 = elems[i1], elems[i2]
         p1, w1 = pk1 & mask_e, pk1 >> ne
         p2, w2 = pk2 & mask_e, pk2 >> ne
-        cross = n_bits_of(cup_i(p_cochain(p1), p_cochain(p2), n - 2))
+        cross = to_bits(pair, cup_i(from_bits(pair, n - 1, p1),
+                                    from_bits(pair, n - 1, p2), n - 2))
         return index[((w1 ^ w2 ^ cross) << ne) | (p1 ^ p2)]
 
     ident_root = uf.find(index[0])
@@ -504,7 +419,9 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     t_log = involutions.bit_length() - 1
     a = s - t_log
     b = 2 * t_log - s
-    assert (1 << s) == size and (1 << t_log) == involutions and a >= 0 and b >= 0
+    if not ((1 << s) == size and (1 << t_log) == involutions and a >= 0 and b >= 0):
+        raise InvariantViolation(f"{size} classes with {involutions} involutions "
+                                 "is not (Z/4)^a + (Z/2)^b")
     summands = (4,) * a + (2,) * b
     data = _sequence_data(pair, n)
     return GGroupStructure(
@@ -521,7 +438,6 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
 def quad_to_linear(q: QuadraticFunction) -> Callable[[GPair], Fraction]:
     """L_Q(w, p) = Q(p) + (1/2) int w, an R/Z-valued functional on G-pairs."""
     m = q.manifold
-    witness = None
 
     def functional(a: GPair) -> Fraction:
         if a.pair.ambient is not m.complex:
@@ -555,13 +471,6 @@ def linear_to_quad(m: ManifoldPair, mode: str,
 # -- spin profile -------------------------------------------------------------
 
 
-def _absolute(m: ManifoldPair) -> ComplexPair:
-    stash = getattr(m, "_gg_abs", None)
-    if stash is None:
-        m._gg_abs = ComplexPair(m.complex, ())
-    return m._gg_abs
-
-
 @dataclass
 class SpinProfile:
     """Structural report for G_n^spin: exact-sequence terms, resolved only
@@ -581,7 +490,7 @@ def g_spin_profile(m, n: int) -> SpinProfile:
     data = _sequence_data(pair, n)
     manifold = m if isinstance(m, ManifoldPair) else None
     connected = (manifold is not None
-                 and CohomologySolver(_absolute(manifold), 0).dim == 1)
+                 and CohomologySolver(manifold.absolute(), 0).dim == 1)
     if (manifold is not None and n == manifold.n and connected
             and not manifold.orientable):
         # H^n(M, bd M; R/Z) = Hom(H_n; R/Z) = 0 for connected nonorientable M,

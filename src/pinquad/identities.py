@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .cochains import Cochain, INT, QMODZ, Z2, Z4, cup_i, d, pullback, sq
-from .complexes import OrderedComplex, build_complex, suspension
-from .suspension import SuspensionContext, suspend, suspension_context
+from .complexes import OrderedComplex, build_complex, cached, suspension
+from .suspension import suspend, suspension_context
 
 ALL_SUITES = (
     "coboundary",
@@ -92,17 +92,15 @@ class _Pool:
 
     def __init__(self, rng: random.Random, size: int = 24, max_dim: int = 5):
         self.complexes = [random_complex(rng, max_dim) for _ in range(size)]
-        self._susp: Dict[int, SuspensionContext] = {}
-        self._solvers: Dict = {}
+        self.cache: Dict = {}
 
     def pick(self, rng: random.Random) -> OrderedComplex:
         return self.complexes[rng.randrange(len(self.complexes))]
 
     def pick_with_suspension(self, rng: random.Random):
         j = rng.randrange(len(self.complexes))
-        if j not in self._susp:
-            self._susp[j] = suspension_context(suspension(self.complexes[j]))
-        return self.complexes[j], self._susp[j]
+        x = self.complexes[j]
+        return x, cached(self, ("suspension", j), lambda: suspension_context(suspension(x)))
 
     def random_cocycle(self, rng: random.Random, x: OrderedComplex,
                        k: int) -> Cochain:
@@ -110,10 +108,8 @@ class _Pool:
         from .cochains import CohomologySolver
         from .complexes import absolute_pair
 
-        key = (id(x), k)
-        if key not in self._solvers:
-            self._solvers[key] = CohomologySolver(absolute_pair(x), k)
-        solver = self._solvers[key]
+        solver = cached(self, ("solver", id(x), k),
+                        lambda: CohomologySolver(absolute_pair(x), k))
         z = solver.reconstruct([rng.randint(0, 1) for _ in range(solver.dim)])
         if k >= 1:
             z = z + d(random_cochain(rng, x, k - 1, Z2))

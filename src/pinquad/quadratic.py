@@ -24,9 +24,11 @@ from .cochains import (
     Cochain,
     CohomologySolver,
     Z2,
+    coboundary_bits,
     cup_i,
     d,
     extend_by_zero,
+    from_bits,
     integrate,
     pullback,
     sq,
@@ -39,6 +41,7 @@ from .complexes import (
     Subdivision,
     barycentric_subdivide,
     build_complex,
+    cached,
     cylinder,
     disjoint_union,
     validate_manifold,
@@ -78,12 +81,6 @@ class QuadValue:
         return Fraction(self.z4, 4)
 
 
-def _stash(m: ManifoldPair) -> dict:
-    if not hasattr(m, "_quad_stash"):
-        m._quad_stash = {}
-    return m._quad_stash
-
-
 class _Context:
     """Per-manifold data shared by every quadratic function on it."""
 
@@ -104,10 +101,7 @@ class _Context:
 
 
 def quad_context(m: ManifoldPair) -> _Context:
-    stash = _stash(m)
-    if "ctx" not in stash:
-        stash["ctx"] = _Context(m)
-    return stash["ctx"]
+    return cached(m, "quad_context", lambda: _Context(m))
 
 
 class QuadraticFunction:
@@ -230,35 +224,37 @@ def v1_witness(m: ManifoldPair) -> Cochain:
     the action only sees the class.
     """
     ctx = quad_context(m)
-    x = m.complex
-    edges = x.simplices(1)
-    tri = x.simplices(2)
-    tri_idx = {s: j for j, s in enumerate(tri)}
-    h = ctx.solver.dim
-    rows = []
-    for e in edges:
-        bits = 0
-        ec = Cochain(x, 1, Z2, {e: 1})
-        de = d(ec)
-        for s, v in de.values.items():
-            if v:
-                bits |= 1 << tri_idx[s]
-        for j, pj in enumerate(ctx.solver.basis):
-            if integrate(m, cup_i(ec, pj, 0)) % 2:
-                bits |= 1 << (len(tri) + j)
-        rows.append(bits)
+    absolute = m.absolute()
+    shift = len(absolute.relative_simplices(2))
+    pairing = _pairing_rows(m, ctx.solver.basis)
+    rows = [de | (pj << shift) for de, pj in zip(coboundary_bits(absolute, 1), pairing)]
     target = 0
     for j, s in enumerate(ctx.sq1):
         if s:
-            target |= 1 << (len(tri) + j)
+            target |= 1 << (shift + j)
     sol = _gf2.solve(rows, target)
     if sol is None:
         raise NotACocycle("no v1 witness cocycle exists (should not happen)")
-    vals = {}
-    for j, e in enumerate(edges):
-        if (sol >> j) & 1:
-            vals[e] = 1
-    return Cochain(x, 1, Z2, vals)
+    return from_bits(absolute, 1, sol)
+
+
+def _pairing_rows(m: ManifoldPair, basis: Sequence[Cochain]) -> List[int]:
+    """Row e has bit j set when int(e* u_0 p_j) = 1, for every edge e.
+
+    (e* u_0 p_j)(s) = e*(s[:2]) p_j(s[1:]), so the integral sums p_j over
+    the back faces of the top simplices whose front edge is e.
+    """
+    back = {}
+    for j, p in enumerate(basis):
+        for s, v in p.values.items():
+            if v:
+                back[s] = back.get(s, 0) ^ (1 << j)
+    front = {}
+    for s in m.fundamental:
+        bits = back.get(s[1:])
+        if bits:
+            front[s[:2]] = front.get(s[:2], 0) ^ bits
+    return [front.get(e, 0) for e in m.complex.simplices(1)]
 
 
 # -- prescribing Q on a different basis -----------------------------------
@@ -327,11 +323,11 @@ class SubdivisionTransfer:
 
 
 def _sd_manifold(m: ManifoldPair) -> Tuple[Subdivision, ManifoldPair]:
-    stash = _stash(m)
-    if "sd" not in stash:
+    def build():
         sd = barycentric_subdivide(m.complex)
-        stash["sd"] = (sd, validate_manifold(sd.complex, m.n))
-    return stash["sd"]
+        return sd, validate_manifold(sd.complex, m.n)
+
+    return cached(m, "subdivision", build)
 
 
 def transfer_subdivision(q: QuadraticFunction) -> SubdivisionTransfer:
@@ -368,12 +364,10 @@ def pushforward(f: SimplicialMap, q_source: QuadraticFunction,
 
 def boundary_manifold(m: ManifoldPair) -> ManifoldPair:
     """bd M as a validated closed (n-1)-manifold (cached)."""
-    stash = _stash(m)
-    if "boundary_m" not in stash:
-        if m.closed:
-            raise EmptyBoundary("manifold is closed")
-        stash["boundary_m"] = validate_manifold(m.boundary_complex(), m.n - 1)
-    return stash["boundary_m"]
+    if m.closed:
+        raise EmptyBoundary("manifold is closed")
+    return cached(m, "boundary_manifold",
+                  lambda: validate_manifold(m.boundary_complex(), m.n - 1))
 
 
 def boundary_quadratic(q: QuadraticFunction) -> QuadraticFunction:
@@ -431,15 +425,15 @@ class CylinderExtension:
 
 
 def _cylinder_of(m: ManifoldPair) -> Tuple[Cylinder, ManifoldPair]:
-    stash = _stash(m)
-    if "cylinder" not in stash:
+    def build():
         cyl = cylinder(m.complex)
         cm = cyl.manifold
         if cm is None:
             cm = validate_manifold(cyl.complex, m.n + 1,
                                    require_full=False, require_ordering=False)
-        stash["cylinder"] = (cyl, cm)
-    return stash["cylinder"]
+        return cyl, cm
+
+    return cached(m, "cylinder", build)
 
 
 def _end_transfer(cyl: Cylinder, cm: ManifoldPair, end: SimplicialMap,

@@ -10,6 +10,7 @@ from pinquad.cochains import (
     QMODZ,
     Z2,
     Z4,
+    coboundary_bits,
     cup_i,
     d,
     dual_cochain,
@@ -18,6 +19,7 @@ from pinquad.cochains import (
     integrate,
     pullback,
     sq,
+    to_bits,
     view_z4_qmodz,
     wu_v2_check,
     zero_cochain,
@@ -31,11 +33,13 @@ from pinquad.complexes import (
 )
 from pinquad.errors import (
     ComplexMismatch,
+    InvariantViolation,
     NotACocycle,
     NotRelative,
     OrientationRequired,
     RingMismatch,
 )
+from pinquad.fixtures import CATALOG_NAMES, catalog
 from pinquad.identities import random_cochain
 
 
@@ -296,3 +300,26 @@ class TestWu:
         # oracle: Sq^2 in the middle degree is the cup square
         assert integrate(cp2, cup_i(witness, witness, 0)) == 1
         assert integrate(cp2, sq(2, witness)) == 1
+
+
+class TestCoboundaryBits:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_matches_signed_coboundary(self, name):
+        # the shared mod-2 operator against the independent signed d
+        m = catalog(name)
+        pair = m.pair
+        for k in range(m.n):
+            cols = coboundary_bits(pair, k)
+            simplices = pair.relative_simplices(k)
+            assert len(cols) == len(simplices)
+            for col, s in zip(cols, simplices):
+                assert col == to_bits(pair, d(dual_cochain(m.complex, s))), (k, s)
+
+
+class TestInvariantChecks:
+    def test_corrupted_representative_is_caught(self, rp2):
+        solver = CohomologySolver(rp2.pair, 1)
+        (p,) = solver.basis
+        solver._rep_bits[0] ^= 1
+        with pytest.raises(InvariantViolation):
+            solver.decompose(p)

@@ -17,6 +17,7 @@ from pinquad.cochains import (
     zero_cochain,
 )
 from pinquad.complexes import absolute_pair
+from pinquad.cli import main
 from pinquad.errors import BudgetExceeded, NotACocycle, PairMismatch
 from pinquad.fixtures import catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.ggroups import (
@@ -333,3 +334,11 @@ class TestSpinProfile:
         m = validate_manifold(z, 2)
         assert not m.orientable
         assert not g_spin_profile(m, 2).resolved
+
+
+def test_default_budget_refuses_the_torus(torus, capsys):
+    # 2^22 pairs: the default budget refuses at once instead of enumerating
+    with pytest.raises(BudgetExceeded):
+        g_pin_bruteforce(torus.pair, 2)
+    assert main(["ggroup", "--fixture", "torus", "--engine", "bruteforce"]) == 2
+    assert "BudgetExceeded" in capsys.readouterr().err

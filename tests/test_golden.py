@@ -1,0 +1,122 @@
+"""Golden outputs: the CLI's JSONL bytes and the library's certificates.
+
+The files under tests/golden/ pin bases, decomposition certificates,
+G^pin generators and v1 witnesses bit for bit, so a refactor of the GF(2)
+layer that changes a pivot choice or a column order shows up here.  To
+rewrite them after an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from pinquad.cli import main
+from pinquad.cochains import CohomologySolver, Z2, Cochain, d
+from pinquad.complexes import ComplexPair
+from pinquad.errors import PinquadError
+from pinquad.fixtures import CATALOG_NAMES, catalog, raw_annulus_pair, raw_mobius_pair
+from pinquad.ggroups import g_pin
+from pinquad.quadratic import v1_witness
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+CLI_FIXTURES = ("rp2", "torus", "klein", "mobius", "annulus", "solid_torus")
+
+
+def cli_commands(name):
+    n = catalog(name).n
+    cmds = []
+    for k in range(n + 1):
+        base = ["cohomology", "--fixture", name, "-k", str(k), "--basis",
+                "--format", "jsonl"]
+        cmds += [base, base + ["--rel"]]
+    cmds.append(["quad", "enumerate", "--fixture", name, "--format", "jsonl"])
+    cmds.append(["ggroup", "--fixture", name, "--format", "jsonl"])
+    return cmds
+
+
+def cli_output(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for argv in cli_commands(name):
+            assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+def _support(c):
+    return sorted(list(s) for s, v in c.values.items() if v)
+
+
+def _certificates(pair, k):
+    """Decompose one deterministic cocycle: every basis element plus the
+    coboundary of every other relative (k-1)-simplex."""
+    solver = CohomologySolver(pair, k)
+    vals = {s: 1 for s in pair.relative_simplices(k - 1)[::2]}
+    p = d(Cochain(pair.ambient, k - 1, Z2, vals))
+    for b in solver.basis:
+        p = p + b
+    coords, cert = solver.decompose(p)
+    return {"coords": list(coords), "cert": _support(cert)}
+
+
+def library_record(name):
+    if name in ("mobius(raw)", "annulus(raw)"):
+        pair = raw_mobius_pair() if name == "mobius(raw)" else raw_annulus_pair()
+        m, n = None, 2
+    else:
+        m = catalog(name)
+        pair, n = ComplexPair(m.complex, m.pair.sub), m.n
+    record = {"name": name}
+    for label, p in (("rel", pair), ("abs", ComplexPair(pair.ambient, ()))):
+        record[f"bases_{label}"] = [
+            [_support(b) for b in CohomologySolver(p, k).basis] for k in range(n + 1)]
+    record["certificates"] = [_certificates(pair, k) for k in range(1, n + 1)]
+    g = g_pin(pair, n)
+    record["g_pin"] = {
+        "summands": list(g.summands),
+        "generators": [[_support(a.w), _support(a.p)] for a in g.generators],
+    }
+    if m is not None:
+        try:
+            record["v1_witness"] = _support(v1_witness(m))
+        except (PinquadError, ValueError) as e:
+            record["v1_witness"] = type(e).__name__
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+LIBRARY_NAMES = CATALOG_NAMES + ("mobius(raw)", "annulus(raw)")
+
+
+def _read(fname):
+    with open(os.path.join(GOLDEN, fname), encoding="utf-8") as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("name", CLI_FIXTURES)
+def test_cli_jsonl_matches_golden(name):
+    assert cli_output(name) == _read(f"cli_{name}.jsonl")
+
+
+@pytest.mark.parametrize("name", LIBRARY_NAMES)
+def test_library_certificates_match_golden(name):
+    golden = {json.loads(l)["name"]: l + "\n"
+              for l in _read("library.jsonl").splitlines()}
+    assert library_record(name) == golden[name]
+
+
+def regenerate():
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name in CLI_FIXTURES:
+        with open(os.path.join(GOLDEN, f"cli_{name}.jsonl"), "w", encoding="utf-8") as f:
+            f.write(cli_output(name))
+    with open(os.path.join(GOLDEN, "library.jsonl"), "w", encoding="utf-8") as f:
+        for name in LIBRARY_NAMES:
+            f.write(library_record(name))
+
+
+if __name__ == "__main__":
+    regenerate()

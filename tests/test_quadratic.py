@@ -24,10 +24,11 @@ from pinquad.errors import (
     SpinOnNonorientable,
     WuObstruction,
 )
-from pinquad.fixtures import catalog
+from pinquad.fixtures import CATALOG_NAMES, catalog
 from pinquad.quadratic import (
     PIN,
     SPIN,
+    _pairing_rows,
     act,
     boundary_manifold,
     boundary_quadratic,
@@ -527,3 +528,22 @@ class TestVerify:
         report = qm.verify_axioms(q, 60, seed=7)
         monkeypatch.setattr(qm, "_fold", real_fold)
         assert not report.ok
+
+
+# every catalog manifold that carries quadratic functions
+QUAD_FIXTURES = tuple(name for name in CATALOG_NAMES if name not in ("sphere0", "cp2"))
+
+
+@pytest.mark.parametrize("name", QUAD_FIXTURES)
+def test_v1_pairing_rows_match_cup_products(name):
+    m = catalog(name)
+    basis = quad_context(m).solver.basis
+    rows = _pairing_rows(m, basis)
+    edges = m.complex.simplices(1)
+    assert len(rows) == len(edges)
+    for e, row in zip(edges, rows):
+        want = 0
+        for j, p in enumerate(basis):
+            if integrate(m, cup_i(dual_cochain(m.complex, e), p, 0)) % 2:
+                want |= 1 << j
+        assert row == want, e

@@ -200,3 +200,32 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "(4, 6, 4)" in proc.stdout
+
+
+class TestCliMalformedInput:
+    """Malformed values and cochains end in one error line and exit 1."""
+
+    @staticmethod
+    def fails_cleanly(argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_wrong_value_count(self, capsys):
+        self.fails_cleanly(["quad", "negate", "--fixture", "torus", "--values", "0"],
+                           capsys)
+
+    def test_value_not_an_integer(self, tmp_path, capsys, rp2):
+        from pinquad.cochains import CohomologySolver
+
+        (x,) = CohomologySolver(rp2.pair, 1).basis
+        path = tmp_path / "x.cochain"
+        path.write_text(format_cochain(x))
+        self.fails_cleanly(["quad", "eval", "--fixture", "rp2", "--values", "x",
+                            "--cochain", str(path)], capsys)
+
+    def test_cochain_names_a_non_simplex(self, tmp_path, capsys):
+        path = tmp_path / "bad.cochain"
+        path.write_text("cochain Z2 1\n0 99 -> 1\n")
+        self.fails_cleanly(["quad", "eval", "--fixture", "rp2", "--values", "1",
+                            "--cochain", str(path)], capsys)
