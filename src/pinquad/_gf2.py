@@ -1,8 +1,19 @@
-"""GF(2) linear algebra on int bitsets.
+"""GF(2) linear algebra on int bitsets: the package's one elimination layer.
 
-Vectors are Python ints; bit j is coordinate j.  All routines are
-deterministic: pivots are always the lowest set bit and rows are processed
-in the order given.
+Vectors are Python ints; bit j is coordinate j.  No other module knows the
+pivot rule: a stored row is keyed by its lowest set bit, and columns are
+eliminated left to right in the order given.  Every basis, kernel and
+certificate is read off this elimination, so they are reproducible, and a
+change of pivot rule touches this module alone.
+
+``representatives(boundaries, cycles, shift) -> (ech, reps)`` is the
+solver's contract.  ``reps`` are the cycles, in order, reduced against the
+boundaries and the earlier representatives, the nonzero ones kept, then
+back-substituted so that none has a bit at another's pivot.  ``ech`` holds
+the rows of ``eliminate(boundaries)``, tracked by column, and
+representative i, tracked as bit ``shift + i``.  With ``shift =
+len(boundaries)``, a cycle z in the span reduces to ``(0, t)`` with
+``z == combine(reps, t >> shift) ^ combine(boundaries, t & (1 << shift) - 1)``.
 """
 
 from __future__ import annotations
@@ -58,18 +69,11 @@ def combine(cols: Sequence[int], bits: int) -> int:
     return out
 
 
-def rank(rows: List[int]) -> int:
-    ech = Echelon()
-    for r in rows:
-        ech.add(r)
-    return ech.rank
+def eliminate(columns: Sequence[int]) -> Tuple[Echelon, List[int]]:
+    """Eliminate columns left to right, tracking column j as bit j.
 
-
-def nullspace(columns: List[int]) -> List[int]:
-    """Kernel of the linear map sending e_j to columns[j].
-
-    Returns tracker bitsets t with XOR_j t_j * columns[j] == 0, in the
-    deterministic order produced by eliminating columns left to right.
+    Returns the echelon of the column space and the kernel: the trackers t
+    with XOR_j t_j * columns[j] == 0, in the order the columns produced them.
     """
     ech = Echelon()
     kernel = []
@@ -77,15 +81,35 @@ def nullspace(columns: List[int]) -> List[int]:
         bits, track = ech.add(col, 1 << j)
         if bits == 0:
             kernel.append(track)
-    return kernel
+    return ech, kernel
 
 
-def solve(rows: List[int], target: int) -> Optional[int]:
+def rank(rows: Sequence[int]) -> int:
+    return eliminate(rows)[0].rank
+
+
+def nullspace(columns: Sequence[int]) -> List[int]:
+    """Kernel of the linear map sending e_j to columns[j]."""
+    return eliminate(columns)[1]
+
+
+def solve(rows: Sequence[int], target: int) -> Optional[int]:
     """Solve sum_j x_j * rows[j] == target; returns x bits or None."""
-    ech = Echelon()
-    for j, r in enumerate(rows):
-        ech.add(r, 1 << j)
-    bits, track = ech.reduce(target, 0)
-    if bits:
-        return None
-    return track
+    bits, track = eliminate(rows)[0].reduce(target)
+    return None if bits else track
+
+
+def representatives(boundaries: Sequence[int], cycles: Sequence[int],
+                    shift: int) -> Tuple[Echelon, List[int]]:
+    """Cycle classes modulo the boundaries, and one echelon onto both."""
+    ech, _ = eliminate(boundaries)
+    reps = [r for r in (ech.add(z)[0] for z in cycles) if r]
+    pivots = [low_bit(r) for r in reps]
+    # distinct pivots, so one pass in descending pivot order reduces fully
+    for i in sorted(range(len(reps)), key=pivots.__getitem__, reverse=True):
+        for j, r in enumerate(reps):
+            if j != i and (r >> pivots[i]) & 1:
+                reps[j] = r ^ reps[i]
+    for i, (p, r) in enumerate(zip(pivots, reps)):
+        ech.rows[p] = (r, 1 << (shift + i))
+    return ech, reps

@@ -16,9 +16,9 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import identities
-from .cochains import CohomologySolver, Cochain
+from .cochains import CohomologySolver
 from .complexes import ComplexPair, ManifoldPair
-from .errors import ParseError, PinquadError
+from .errors import SIZE_BUDGET, ParseError, PinquadError
 from .fixtures import (
     CATALOG_NAMES,
     catalog,
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--engine", choices=("formula", "bruteforce"), default="formula")
-    p.add_argument("--budget-log2", type=int, default=20)
+    p.add_argument("--budget-log2", type=int, default=SIZE_BUDGET.bit_length() - 1)
     p.set_defaults(func=_cmd_ggroup)
 
     p = sub.add_parser("identities", help="randomized identity suites")

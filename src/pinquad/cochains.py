@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._gf2 import Echelon, combine, low_bit, nullspace
+from ._gf2 import combine, low_bit, nullspace, representatives
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached
 from .errors import (
     ComplexMismatch,
@@ -395,8 +395,8 @@ def integrate(m: ManifoldPair, w: Cochain):
 class CohomologySolver:
     """Basis of H^k(X, Y; F2) with exact decomposition certificates.
 
-    Columns are ordered by the canonical (sorted) simplex enumeration;
-    Gaussian elimination is deterministic, so bases are reproducible.
+    Columns are ordered by the canonical (sorted) simplex enumeration and
+    the elimination is ``_gf2.representatives``, so bases are reproducible.
     """
 
     def __init__(self, pair: ComplexPair, degree: int) -> None:
@@ -404,50 +404,16 @@ class CohomologySolver:
         self.degree = degree
         self.simplices: Tuple[Simplex, ...] = pair.relative_simplices(degree)
 
-        # coboundaries of (k-1)-simplices, with preimage tracking
-        bech = Echelon()
-        for jb, row in enumerate(coboundary_bits(pair, degree - 1)):
-            bech.add(row, 1 << jb)
-
-        kernel = nullspace(coboundary_bits(pair, degree))
-        reps: List[int] = []
-        self._rows: Dict[int, Tuple[int, int, int]] = {}  # pivot -> (bits, coords, pre)
-        for piv, (bits, pre) in sorted(bech.rows.items()):
-            self._rows[piv] = (bits, 0, pre)
-        for z in kernel:
-            r, a, pre = self._reduce(z)
-            if r:
-                reps.append(r)
-                self._rows[low_bit(r)] = (r, 0, 0)
-        # back-substitute so each representative is fully reduced against the
-        # others (pivots are distinct; descending order needs a single pass)
-        order = sorted(range(len(reps)), key=lambda i: low_bit(reps[i]), reverse=True)
-        for i in order:
-            piv = low_bit(reps[i])
-            for j in range(len(reps)):
-                if j != i and (reps[j] >> piv) & 1:
-                    reps[j] ^= reps[i]
-        for j, r in enumerate(reps):
-            self._rows[low_bit(r)] = (r, 1 << j, 0)
-        self._rep_bits = reps
-        self.basis: Tuple[Cochain, ...] = tuple(from_bits(pair, degree, r) for r in reps)
-
-    # -- representation helpers ------------------------------------------
+        below = coboundary_bits(pair, degree - 1)
+        self._shift = len(below)
+        self._ech, self._rep_bits = representatives(
+            below, nullspace(coboundary_bits(pair, degree)), self._shift)
+        self.basis: Tuple[Cochain, ...] = tuple(
+            from_bits(pair, degree, r) for r in self._rep_bits)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def _reduce(self, bits: int, coords: int = 0, pre: int = 0):
-        while bits:
-            p = low_bit(bits)
-            row = self._rows.get(p)
-            if row is None:
-                return bits, coords, pre
-            bits ^= row[0]
-            coords ^= row[1]
-            pre ^= row[2]
-        return bits, coords, pre
 
     # -- the decompose-and-correct pattern --------------------------------
 
@@ -463,9 +429,10 @@ class CohomologySolver:
         bits = to_bits(self.pair, p)
         if combine(coboundary_bits(self.pair, self.degree), bits):
             raise NotACocycle("dp != 0")
-        r, coords, pre = self._reduce(bits)
+        r, track = self._ech.reduce(bits)
         if r:
             raise NotACocycle("cocycle space bookkeeping failed")
+        coords, pre = track >> self._shift, track & ((1 << self._shift) - 1)
         dpre = combine(coboundary_bits(self.pair, self.degree - 1), pre)
         if combine(self._rep_bits, coords) ^ dpre != bits:
             raise InvariantViolation("decomposition identity failed")

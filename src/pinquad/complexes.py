@@ -96,6 +96,12 @@ class OrderedComplex:
         return f"OrderedComplex(f={self.f_vector()})"
 
 
+def face_closure(simplices: Iterable[Simplex]) -> set:
+    """Every nonempty face of every given simplex, vertex order kept."""
+    return {face for s in simplices for r in range(1, len(s) + 1)
+            for face in itertools.combinations(s, r)}
+
+
 def build_complex(
     maximal_simplices: Iterable[Sequence[int]],
     rank: Optional[Mapping[int, int]] = None,
@@ -119,11 +125,9 @@ def build_complex(
         if any(a == b for a, b in zip(ranks, ranks[1:])):
             raise TieInSimplex(f"ranks tie in simplex {s}")
         sorted_maximal.append(t)
-    by_dim: Dict[int, set] = {}
-    for s in sorted_maximal:
-        for r in range(1, len(s) + 1):
-            for face in itertools.combinations(s, r):
-                by_dim.setdefault(r - 1, set()).add(face)
+    by_dim: Dict[int, List[Simplex]] = {}
+    for face in face_closure(sorted_maximal):
+        by_dim.setdefault(len(face) - 1, []).append(face)
     return OrderedComplex(by_dim, {v: rank[v] for v in verts}, labels)
 
 
@@ -351,10 +355,7 @@ def validate_manifold(
         n = x.dim
     if x.dim != n:
         raise NotPseudoManifold(f"complex has dimension {x.dim}, expected {n}")
-    top_faces = set()
-    for top in x.simplices(n):
-        for r in range(1, n + 1):
-            top_faces.update(itertools.combinations(top, r))
+    top_faces = face_closure(x.simplices(n))
     for k in range(n):
         for s in x.simplices(k):
             if s not in top_faces:
@@ -369,10 +370,7 @@ def validate_manifold(
             interior.append(face)
         else:
             raise NotPseudoManifold(f"{face} has {len(tops)} top cofaces")
-    sub: set = set()
-    for s in computed_boundary:
-        for r in range(1, len(s) + 1):
-            sub.update(itertools.combinations(s, r))
+    sub = face_closure(computed_boundary)
     if boundary != "auto":
         if set(map(tuple, boundary)) != sub:
             raise NotPseudoManifold("declared boundary differs from the computed one")

@@ -97,6 +97,11 @@ class BudgetExceeded(PinquadError):
     """Brute-force enumeration would exceed the size budget."""
 
 
+# The most elements an exponential enumeration may visit before it raises
+# BudgetExceeded instead (the oracle's pairs, 2^dim quadratic functions).
+SIZE_BUDGET = 1 << 20
+
+
 class InvariantViolation(PinquadError):
     """An internal consistency check failed: the computed result is wrong."""
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from . import _gf2
-from ._gf2 import Echelon, combine, low_bit, nullspace, rank
+from ._gf2 import Echelon, combine, eliminate, low_bit, nullspace, rank
 from .cochains import (
     Cochain,
     CohomologySolver,
@@ -38,6 +37,7 @@ from .cochains import (
 )
 from .complexes import ComplexPair, ManifoldPair, SimplicialMap, cached
 from .errors import (
+    SIZE_BUDGET,
     BudgetExceeded,
     InvariantViolation,
     NotACocycle,
@@ -175,13 +175,8 @@ class _SequenceData:
 
     @property
     def phi_rank(self) -> int:
-        ech = Echelon()
-        for r in self.b_rows:
-            ech.add(r)
-        base = ech.rank
-        for kv in self.sh_kernel:
-            ech.add(self.phi_of(kv))
-        return ech.rank - base
+        phi_rows = [self.phi_of(kv) for kv in self.sh_kernel]
+        return rank(self.b_rows + phi_rows) - self.b_rank
 
 
 def _sequence_data(pair: ComplexPair, n: int) -> _SequenceData:
@@ -210,14 +205,6 @@ class GGroupStructure:
 
     def same_profile(self, other: "GGroupStructure") -> bool:
         return sorted(self.summands) == sorted(other.summands)
-
-
-def _solve_dw(pair: ComplexPair, n: int, target: Cochain) -> Cochain:
-    """A particular w with dw = target among relative n-cochains."""
-    track = _gf2.solve(coboundary_bits(pair, n), to_bits(pair, target))
-    if track is None:
-        raise NotACocycle("Sq^2 p is not a relative coboundary")
-    return from_bits(pair, n, track)
 
 
 def g_pin(pair: ComplexPair, n: int) -> GGroupStructure:
@@ -249,7 +236,7 @@ def g_pin(pair: ComplexPair, n: int) -> GGroupStructure:
 
     def sh_cert(kv: int) -> GPair:
         p = _combo(data.s_nm1, kv)
-        w = _solve_dw(pair, n, sq(2, p))
+        _, w = data.s_np1.decompose(sq(2, p))  # Sq^2 p = dw, class 0
         return GPair(pair, n, PIN, w, p)
 
     gens = [sh_cert(kv) for kv in picks4]
@@ -296,10 +283,7 @@ def g_is_trivial(a: GPair) -> bool:
     w_corr = a.w + sq(2, cert)
     wcoords, _ = data.s_n.decompose(w_corr)
     bits = sum(b << j for j, b in enumerate(wcoords))
-    ech = Echelon()
-    for r in data.b_rows:
-        ech.add(r)
-    return ech.reduce(bits)[0] == 0
+    return rank(data.b_rows + [bits]) == data.b_rank
 
 
 def g_order(a: GPair, limit: int = 8) -> int:
@@ -334,27 +318,21 @@ class _UnionFind:
 
 
 def g_pin_bruteforce(pair: ComplexPair, n: int,
-                     size_budget: int = 1 << 20) -> GGroupStructure:
+                     size_budget: int = SIZE_BUDGET) -> GGroupStructure:
     """Enumerate all pairs, merge cosets of the relation subgroup, and read
     off the abelian profile.  Exact; feasible at fixture scale."""
     x = pair.ambient
     e_list = pair.relative_simplices(n - 1)
     ne = len(e_list)
 
-    # cocycle spaces
+    # cocycle spaces; wech also solves dw = Sq^2 p deterministically
     d_cols_p = coboundary_bits(pair, n - 1)
     z_p = nullspace(d_cols_p)
-    d_cols_w = coboundary_bits(pair, n)
-    z_w = nullspace(d_cols_w)
+    wech, z_w = eliminate(coboundary_bits(pair, n))
 
     total = 1 << (len(z_p) + len(z_w))
     if total > size_budget:
         raise BudgetExceeded(f"{total} pairs exceed the budget {size_budget}")
-
-    # solve dw = Sq^2 p deterministically
-    wech = Echelon()
-    for j, col in enumerate(d_cols_w):
-        wech.add(col, 1 << j)
 
     elems: List[int] = []
     index: Dict[int, int] = {}

@@ -19,7 +19,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .cochains import Cochain, QMODZ, RINGS
-from .complexes import ManifoldPair, OrderedComplex, Simplex, build_complex, validate_manifold
+from .complexes import (
+    ManifoldPair, OrderedComplex, Simplex, build_complex, face_closure, validate_manifold,
+)
 from .errors import ParseError
 
 
@@ -93,12 +95,7 @@ def manifold_from_text(
     x = complex_from_spec(spec)
     boundary = spec.boundary
     if boundary != "auto":
-        closed: set = set()
-        for s in boundary:
-            t = x.sort_simplex(s)
-            for r in range(1, len(t) + 1):
-                closed.update(itertools.combinations(t, r))
-        boundary = closed
+        boundary = face_closure(x.sort_simplex(s) for s in boundary)
     orientation = "auto"
     if spec.orientation is not None:
         orientation = {x.sort_simplex(s): v for s, v in spec.orientation.items()}
@@ -153,21 +150,31 @@ def parse_cochain(text: str, complex: OrderedComplex) -> Cochain:
             continue
         if line.startswith("cochain"):
             parts = line.split()
-            if len(parts) != 3 or parts[1] not in RINGS:
+            if ring is not None:
+                raise ParseError("second cochain header", lineno)
+            try:
+                if len(parts) != 3 or parts[1] not in RINGS:
+                    raise ValueError
+                degree = int(parts[2])
+            except ValueError:
                 raise ParseError(f"bad header {line!r}", lineno)
             ring = parts[1]
-            degree = int(parts[2])
             continue
         if ring is None:
             raise ParseError("value line before the cochain header", lineno)
         if "->" not in line:
             raise ParseError(f"expected '<vertices> -> <value>' in {line!r}", lineno)
-        left, right = line.split("->")
         try:
+            left, right = line.split("->")
             simplex = tuple(int(a) for a in left.split())
             value = Fraction(right.strip()) if ring == QMODZ else int(right)
         except Exception as e:
             raise ParseError(f"cannot parse {line!r} ({e})", lineno)
+        if not complex.has_simplex(simplex):
+            raise ParseError(f"{simplex} is not a simplex of the complex "
+                             "(vertices in rank order)", lineno)
+        if len(simplex) != degree + 1:
+            raise ParseError(f"{simplex} is not a {degree}-simplex", lineno)
         values[simplex] = value
     if ring is None:
         raise ParseError("missing cochain header")

@@ -51,3 +51,14 @@ def disk2():
 @pytest.fixture(scope="session")
 def cp2():
     return catalog("cp2")
+
+
+@pytest.fixture(scope="session")
+def eleven_tori():
+    """Disjoint union of 11 tori: dim H^1 = 22, past the enumeration budget."""
+    from pinquad.complexes import disjoint_union, validate_manifold
+
+    x = z = catalog("torus").complex
+    for _ in range(10):
+        z, _, _ = disjoint_union(z, x)
+    return validate_manifold(z, 2)

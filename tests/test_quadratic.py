@@ -16,6 +16,7 @@ from pinquad.cochains import (
 )
 from pinquad.complexes import SimplicialMap, build_complex, validate_manifold
 from pinquad.errors import (
+    BudgetExceeded,
     ConstraintViolation,
     DegreeZero,
     EmptyBoundary,
@@ -547,3 +548,13 @@ def test_v1_pairing_rows_match_cup_products(name):
             if integrate(m, cup_i(dual_cochain(m.complex, e), p, 0)) % 2:
                 want |= 1 << j
         assert row == want, e
+
+
+def test_enumeration_budget_refuses_eleven_tori(eleven_tori):
+    # 2^22 quadratic functions and Gauss sum terms, past the shared budget
+    ctx = quad_context(eleven_tori)
+    assert ctx.solver.dim == 22
+    with pytest.raises(BudgetExceeded):
+        enumerate_quadratics(eleven_tori)
+    with pytest.raises(BudgetExceeded):
+        brown_gauss(make_quadratic(eleven_tori, PIN, ctx.sq1))

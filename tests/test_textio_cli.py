@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinquad.cli import main
 from pinquad.cochains import Cochain, INT, QMODZ, Z2, Z4
@@ -82,6 +84,38 @@ class TestCochainFormat:
     def test_bad_value(self, rp2):
         with pytest.raises(ParseError):
             parse_cochain("cochain Z2 1\n0 1 -> x\n", rp2.complex)
+
+    @pytest.mark.parametrize("text, line", [
+        ("cochain Z2 x\n", 1),
+        ("cochain Z2 1\n0 1 -> 1 -> 2\n", 2),
+        ("cochain Z2 1\n0 99 -> 1\n", 2),
+        ("cochain Z2 1\n0 1 3 -> 1\n", 2),
+        ("cochain Z2 1\n1 0 -> 1\n", 2),
+        ("cochain Z2 1\n0 1 -> 1\ncochain Z2 2\n", 3),
+    ])
+    def test_malformed_input_names_its_line(self, rp2, text, line):
+        with pytest.raises(ParseError) as info:
+            parse_cochain(text, rp2.complex)
+        assert info.value.line == line
+
+
+_cochain_lines = st.text(alphabet="0123456789 -> /x#", max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.builds("cochain {} {}\n{}".format,
+              st.sampled_from(["Z2", "Z4", "Int", "QmodZ", "Z3"]),
+              st.text(alphabet="-012 x", max_size=3),
+              st.lists(_cochain_lines, max_size=4).map("\n".join)),
+))
+def test_parse_cochain_raises_only_parse_errors(rp2, text):
+    try:
+        c = parse_cochain(text, rp2.complex)
+    except ParseError:
+        return
+    assert isinstance(c, Cochain)
 
 
 class TestCli:
@@ -229,3 +263,11 @@ class TestCliMalformedInput:
         path.write_text("cochain Z2 1\n0 99 -> 1\n")
         self.fails_cleanly(["quad", "eval", "--fixture", "rp2", "--values", "1",
                             "--cochain", str(path)], capsys)
+
+
+def test_enumerate_past_the_budget_is_exit_2(tmp_path, capsys, eleven_tori):
+    path = tmp_path / "tori.txt"
+    path.write_text(format_complex(eleven_tori.complex))
+    assert main(["quad", "enumerate", "--complex", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BudgetExceeded") and len(err.splitlines()) == 1
