@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._gf2 import combine, low_bit, nullspace, representatives
+from ._gf2 import cleared_kernel, combine, low_bit, representatives
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached
 from .errors import (
     ComplexMismatch,
@@ -395,8 +395,13 @@ def integrate(m: ManifoldPair, w: Cochain):
 class CohomologySolver:
     """Basis of H^k(X, Y; F2) with exact decomposition certificates.
 
-    Columns are ordered by the canonical (sorted) simplex enumeration and
-    the elimination is ``_gf2.representatives``, so bases are reproducible.
+    Columns are ordered by the canonical (sorted) simplex enumeration.
+    ``_gf2.cleared_kernel`` keeps only the cocycles of the kernel of d_k
+    that survive modulo the image of d_{k-1} (exactly dim H^k of them, where
+    the whole kernel can run to thousands), and ``_gf2.representatives``
+    reduces those against the boundary echelon.  The clearing skips only
+    work that would have stored nothing, so bases and certificates are
+    those of reducing the whole kernel, and reproducible.
     """
 
     def __init__(self, pair: ComplexPair, degree: int) -> None:
@@ -407,7 +412,7 @@ class CohomologySolver:
         below = coboundary_bits(pair, degree - 1)
         self._shift = len(below)
         self._ech, self._rep_bits = representatives(
-            below, nullspace(coboundary_bits(pair, degree)), self._shift)
+            below, cleared_kernel(below, coboundary_bits(pair, degree)), self._shift)
         self.basis: Tuple[Cochain, ...] = tuple(
             from_bits(pair, degree, r) for r in self._rep_bits)
 

@@ -38,6 +38,7 @@ def parse_complex(text: str) -> ComplexSpec:
     spec = ComplexSpec()
     explicit_boundary: List[Simplex] = []
     saw_boundary = False
+    named: List[tuple] = []  # (lineno, raw, simplex) of boundary/orient lines
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -57,12 +58,14 @@ def parse_complex(text: str) -> ComplexSpec:
                     pass
                 else:
                     explicit_boundary.append(tuple(int(a) for a in args))
+                    named.append((lineno, raw, explicit_boundary[-1]))
             elif key == "orient":
                 sign = {"+1": 1, "1": 1, "-1": -1}[args[-1]]
                 simplex = tuple(int(a) for a in args[:-1])
                 if spec.orientation is None:
                     spec.orientation = {}
                 spec.orientation[simplex] = sign
+                named.append((lineno, raw, simplex))
             else:
                 raise ParseError(f"unknown directive {key!r}", lineno)
         except ParseError:
@@ -71,6 +74,12 @@ def parse_complex(text: str) -> ComplexSpec:
             raise ParseError(f"cannot parse {raw.strip()!r} ({e})", lineno)
     if not spec.maximal:
         raise ParseError("no simplex lines found")
+    vertices = {v for s in spec.maximal for v in s}
+    for lineno, raw, simplex in named:
+        missing = sorted(set(simplex) - vertices)
+        if missing:
+            raise ParseError(
+                f"{raw.strip()!r} names vertex {missing[0]}, which is in no simplex", lineno)
     if saw_boundary and explicit_boundary:
         spec.boundary = explicit_boundary
     return spec

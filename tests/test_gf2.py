@@ -1,16 +1,25 @@
-"""The GF(2) elimination layer against brute-force enumeration.
+"""The GF(2) elimination layer against brute force and an unskipped reference.
 
-Matrices are at most 8 x 8, so every claim is checked over all 2^cols
-combinations of the columns.
+Matrices are at most 8 x 8, so most claims are checked over all 2^cols
+combinations of the columns.  The cleared kernel, which never reduces a
+cocycle that dies modulo the boundaries, is checked bit for bit against
+the whole kernel reduced in order, on random chain complexes and on
+subdivided manifolds that the golden files do not cover.
 """
 
+import random
 from functools import reduce
+from itertools import combinations
 from operator import xor
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinquad._gf2 import eliminate, nullspace, rank, representatives, solve
+from pinquad._gf2 import cleared_kernel, eliminate, nullspace, rank, representatives, solve
+from pinquad.cochains import CohomologySolver, coboundary_bits, from_bits, to_bits
+from pinquad.complexes import barycentric_subdivide, validate_manifold
+from pinquad.fixtures import catalog
 
 
 def vectors(rows, max_size=8):
@@ -97,3 +106,88 @@ def test_representatives_are_a_basis_modulo_the_boundaries(case):
         rem, track = ech.reduce(z)
         assert rem == 0
         assert xor_of(reps, track >> shift) ^ xor_of(boundaries, track & mask) == z
+
+
+def reference_representatives(boundaries, columns, shift):
+    """Without clearing: every kernel vector added in order, then reduced
+    against each other until no representative has a bit at another's pivot."""
+    ech, _ = eliminate(boundaries)
+    reps = [r for r in (ech.add(z)[0] for z in nullspace(columns)) if r]
+    changed = True
+    while changed:
+        changed = False
+        for i, ri in enumerate(reps):
+            for j, rj in enumerate(reps):
+                if i != j and (rj >> low(ri)) & 1:
+                    reps[j] = rj ^ ri
+                    changed = True
+    for i, r in enumerate(reps):
+        ech.rows[low(r)] = (r, 1 << (shift + i))
+    return ech, reps
+
+
+@st.composite
+def relative_cochain_complexes(draw):
+    """(d_{k-1}, d_k) over Z2 of a random relative complex (X, A) inside the
+    simplex on 7 vertices, with the simplices of each degree shuffled."""
+    def closure(simplices):
+        return {frozenset(f) for s in simplices for r in range(1, len(s) + 1)
+                for f in combinations(sorted(s), r)}
+
+    tops = draw(st.lists(st.sets(st.integers(0, 6), min_size=2, max_size=4),
+                         min_size=1, max_size=10))
+    x = closure(tops)
+    a = closure(draw(st.lists(st.sampled_from(sorted(x, key=sorted)), max_size=3)))
+    k = draw(st.integers(1, max(map(len, tops)) - 1))
+    cells = []
+    for dim in (k - 1, k, k + 1):
+        cell = sorted((s for s in x - a if len(s) == dim + 1), key=sorted)
+        cells.append(draw(st.permutations(cell)))
+
+    def coboundary(lo, hi):
+        index = {s: i for i, s in enumerate(hi)}
+        return [sum(1 << index[t] for t in hi if s < t and len(t) == len(s) + 1)
+                for s in lo]
+
+    return coboundary(cells[0], cells[1]), coboundary(cells[1], cells[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(relative_cochain_complexes())
+def test_cleared_representatives_match_the_unskipped_reference(case):
+    boundaries, columns = case
+    assert all(xor_of(columns, b) == 0 for b in boundaries)  # d d = 0
+    shift = len(boundaries)
+    survivors = cleared_kernel(boundaries, columns)
+    ech, reps = representatives(boundaries, survivors, shift)
+    ref_ech, ref_reps = reference_representatives(boundaries, columns, shift)
+    assert reps == ref_reps
+    assert ech.rows == ref_ech.rows
+    # every cocycle the clearing keeps is a class
+    assert len(survivors) == len(reps)
+
+
+def _subdivided(name):
+    m = catalog(name)
+    return validate_manifold(barycentric_subdivide(m.complex).complex, m.n)
+
+
+@pytest.mark.parametrize("name", ["rp2", "torus", "klein", "mobius", "sphere3"])
+def test_solver_on_subdivisions_matches_the_unskipped_reference(name):
+    """Bases and decompositions of seeded random cocycles, every degree."""
+    pair = _subdivided(name).pair  # relative to the boundary for the strip
+    rng = random.Random(name)
+    for k in range(pair.ambient.dim + 1):
+        below, columns = coboundary_bits(pair, k - 1), coboundary_bits(pair, k)
+        shift = len(below)
+        ref_ech, ref_reps = reference_representatives(below, columns, shift)
+        solver = CohomologySolver(pair, k)
+        assert [to_bits(pair, b) for b in solver.basis] == ref_reps
+        for _ in range(5):
+            bits = (xor_of(ref_reps, rng.getrandbits(len(ref_reps)))
+                    ^ xor_of(below, rng.getrandbits(shift)))
+            coords, pre = solver.decompose(from_bits(pair, k, bits))
+            rem, track = ref_ech.reduce(bits)
+            assert rem == 0
+            assert coords == tuple((track >> shift + j) & 1 for j in range(len(ref_reps)))
+            assert to_bits(pair, pre) == track & (1 << shift) - 1

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pinquad.cli import main
 from pinquad.cochains import Cochain, INT, QMODZ, Z2, Z4
-from pinquad.errors import ParseError
+from pinquad.errors import ParseError, PinquadError
 from pinquad.fixtures import catalog, fixture_text
 from pinquad.textio import (
     complex_from_text,
@@ -62,6 +62,16 @@ class TestComplexFormat:
     def test_declared_dim_checked(self):
         with pytest.raises(ParseError):
             complex_from_text("dim 3\nsimplex 0 1 2\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("dim 1\nsimplex 0 1\nboundary 7\n", 3),
+        ("boundary 0 5\nsimplex 0 1\n", 1),
+        ("dim 1\nsimplex 0 1\norient 0 9 +1\n", 3),
+    ])
+    def test_unknown_vertex_names_its_line(self, text, line):
+        with pytest.raises(ParseError) as info:
+            manifold_from_text(text)
+        assert info.value.line == line
 
 
 class TestCochainFormat:
@@ -116,6 +126,32 @@ def test_parse_cochain_raises_only_parse_errors(rp2, text):
     except ParseError:
         return
     assert isinstance(c, Cochain)
+
+
+_vertices = st.lists(st.integers(-1, 4).map(str), max_size=4).map(" ".join)
+_complex_lines = st.one_of(
+    st.builds("simplex {}".format, _vertices),
+    st.builds("boundary {}".format, st.one_of(st.just("auto"), _vertices)),
+    st.builds("orient {} {}".format, _vertices, st.sampled_from(["+1", "-1", "x"])),
+    st.builds("dim {}".format, st.integers(-1, 3)),
+    st.builds("rank {} {}".format, st.integers(0, 4), st.integers(0, 4)),
+    st.text(alphabet="dimrankxsplbo0123 -+#", max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_complex_lines, max_size=8).map("\n".join)))
+def test_complex_parsers_raise_only_typed_errors(text):
+    """Malformed text is a ParseError; well-formed text that is no manifold
+    fails validation with another PinquadError."""
+    try:
+        parse_complex(text)
+    except ParseError:
+        return
+    try:
+        manifold_from_text(text)
+    except PinquadError:
+        pass
 
 
 class TestCli:
@@ -237,7 +273,7 @@ class TestCli:
 
 
 class TestCliMalformedInput:
-    """Malformed values and cochains end in one error line and exit 1."""
+    """Malformed values, cochains and complexes end in one error line and exit 1."""
 
     @staticmethod
     def fails_cleanly(argv, capsys):
@@ -257,6 +293,11 @@ class TestCliMalformedInput:
         path.write_text(format_cochain(x))
         self.fails_cleanly(["quad", "eval", "--fixture", "rp2", "--values", "x",
                             "--cochain", str(path)], capsys)
+
+    def test_complex_names_an_unknown_vertex(self, tmp_path, capsys):
+        path = tmp_path / "bad.complex"
+        path.write_text("dim 1\nsimplex 0 1\nboundary 7\n")
+        self.fails_cleanly(["info", "--complex", str(path)], capsys)
 
     def test_cochain_names_a_non_simplex(self, tmp_path, capsys):
         path = tmp_path / "bad.cochain"
