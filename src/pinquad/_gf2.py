@@ -6,32 +6,34 @@ and columns are eliminated left to right in the order given.  Every basis,
 kernel and certificate is read off this elimination, so they are
 reproducible, and a change of pivot rule touches this module alone.
 
-The cohomology solver's contract is two calls.
-``cleared_kernel(boundaries, columns)`` is the clearing (twist) step: one
-untracked pass over the boundaries, pivoting on the highest set bit, gives
-P_B, the top bits of the boundary space B (it must lie in the kernel of
-columns).  The columns are then eliminated with every index in P_B
-skipped, and the ones that still reduce to zero give the kernel vectors
-that survive.  Kernel vector k_j, the one with top bit j, is the unique
-cocycle e_j + (earlier independent columns); it lies in B + span(k_i, i <
-j) exactly when some boundary has top bit j, that is when j is in P_B.  A
-skipped column is dependent, so it would have stored no row, and a skipped
-k_j would have reduced to zero below and stored nothing: clearing removes
-work, never a row, a tracker or a representative.
+``top_bits(columns)`` is the one other pass: untracked, pivoting on the
+highest set bit, it returns P, the top bits of the span.  When the columns
+are d_{k-1} of a chain complex, each j in P is the top bit of some b with
+d_k b = 0, so column j of d_k is the XOR of earlier columns: the
+elimination would reduce it to zero and store no row and no tracker.  That
+is the clearing lemma (Bauer, Kerber and Reininghaus, "Clear and
+compress", 2014).  The cohomology solver passes P as the ``skip`` of
+``eliminate`` twice: P of d_{k-1} skips columns of d_k, and P of d_{k-2}
+skips columns of d_{k-1} in the boundary echelon of ``representatives``.
+In the first, kernel vector k_j (the unique cocycle e_j + earlier
+independent columns) lies in B + span(k_i, i < j) exactly when j is in P,
+so the kernel holds only the cocycles that survive as classes; in the
+second, only the discarded kernel would have seen the skipped columns.
+Clearing removes work, never a row, a tracker or a representative.
 
-``representatives(boundaries, cycles, shift) -> (ech, reps)``: ``reps`` are
-the cycles, in order, reduced against the boundaries and the earlier
-representatives, the nonzero ones kept, then back-substituted so that none
-has a bit at another's pivot.  ``ech`` holds the rows of
-``eliminate(boundaries)``, tracked by column, and representative i, tracked
-as bit ``shift + i``.  With ``shift = len(boundaries)``, a cycle z in the
-span reduces to ``(0, t)`` with
+``representatives(boundaries, cycles, shift, skip) -> (ech, reps)``:
+``reps`` are the cycles, in order, reduced against the boundaries and the
+earlier representatives, the nonzero ones kept, then back-substituted so
+that none has a bit at another's pivot.  ``ech`` holds the rows of
+``eliminate(boundaries, skip)``, tracked by column, and representative i,
+tracked as bit ``shift + i``.  With ``shift = len(boundaries)``, a cycle z
+in the span reduces to ``(0, t)`` with
 ``z == combine(reps, t >> shift) ^ combine(boundaries, t & (1 << shift) - 1)``.
 """
 
 from __future__ import annotations
 
-from typing import Container, List, Optional, Sequence, Tuple
+from typing import Container, FrozenSet, List, Optional, Sequence, Tuple
 
 
 def low_bit(x: int) -> int:
@@ -116,29 +118,27 @@ def solve(rows: Sequence[int], target: int) -> Optional[int]:
     return None if bits else track
 
 
-def cleared_kernel(boundaries: Sequence[int], columns: Sequence[int]) -> List[int]:
-    """The kernel vectors of columns that survive modulo the boundaries.
-
-    The boundaries must lie in the kernel.  Kernel vector j (the one with
-    top bit j) is dropped when j is the top bit of a boundary, and its
-    column is never reduced: it lies in B + span(earlier kernel vectors),
-    so ``representatives`` would reduce it to zero and store nothing.
-    """
-    top: dict[int, int] = {}  # the boundaries, pivoting on the highest bit
-    for v in boundaries:
+def top_bits(columns: Sequence[int]) -> FrozenSet[int]:
+    """The top bits of the span of columns: one untracked pass pivoting on
+    the highest set bit.  Its size is the rank."""
+    top: dict[int, int] = {}
+    for v in columns:
         while v:
             p = v.bit_length() - 1
             if p not in top:
                 top[p] = v
                 break
             v ^= top[p]
-    return eliminate(columns, top)[1]
+    return frozenset(top)
 
 
 def representatives(boundaries: Sequence[int], cycles: Sequence[int],
-                    shift: int) -> Tuple[Echelon, List[int]]:
-    """Cycle classes modulo the boundaries, and one echelon onto both."""
-    ech, _ = eliminate(boundaries)
+                    shift: int, skip: Container[int] = ()) -> Tuple[Echelon, List[int]]:
+    """Cycle classes modulo the boundaries, and one echelon onto both.
+
+    The boundary columns in skip must be dependent on earlier ones.
+    """
+    ech, _ = eliminate(boundaries, skip)
     reps = [r for r in (ech.add(z)[0] for z in cycles) if r]
     pivots = [low_bit(r) for r in reps]
     # distinct pivots, so one pass in descending pivot order reduces fully

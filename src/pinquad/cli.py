@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import identities
-from .cochains import CohomologySolver
+from .cochains import solver as cohomology_solver
 from .complexes import ComplexPair, ManifoldPair
 from .errors import SIZE_BUDGET, ParseError, PinquadError
 from .fixtures import (
@@ -111,7 +111,7 @@ def _cmd_cohomology(args) -> int:
     m, h = _load_manifold(args)
     out = _Out(args.format)
     pair = m.pair if args.rel else ComplexPair(m.complex, ())
-    solver = CohomologySolver(pair, args.k)
+    solver = cohomology_solver(pair, args.k)
     record = {
         "hash": h,
         "k": args.k,
@@ -242,6 +242,14 @@ def _cmd_identities(args) -> int:
     return 0 if total == 0 else 2
 
 
+def count(text: str) -> int:
+    """A non-negative int option value, such as a trial count or a log2."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinquad",
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("pin", "spin"), default="pin")
     p.add_argument("--values", default="", help="comma separated Z/4 basis values")
     p.add_argument("--cochain", default=None, help="cochain text file")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_quad)
 
@@ -285,12 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--engine", choices=("formula", "bruteforce"), default="formula")
-    p.add_argument("--budget-log2", type=int, default=SIZE_BUDGET.bit_length() - 1)
+    p.add_argument("--budget-log2", type=count, default=SIZE_BUDGET.bit_length() - 1)
     p.set_defaults(func=_cmd_ggroup)
 
     p = sub.add_parser("identities", help="randomized identity suites")
     add_common(p, fixture=False)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suites", default=None,
                    help="comma separated suite names (default: all)")

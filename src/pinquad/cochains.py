@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._gf2 import cleared_kernel, combine, low_bit, representatives
+from ._gf2 import combine, eliminate, low_bit, representatives, top_bits
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached
 from .errors import (
     ComplexMismatch,
@@ -247,6 +247,11 @@ def coboundary_bits(pair: ComplexPair, k: int) -> List[int]:
     return cached(pair, ("coboundary", k), build)
 
 
+def _tops(pair: ComplexPair, k: int) -> frozenset:
+    """The top bits of the image of d_k, as indices of relative (k+1)-simplices."""
+    return cached(pair, ("tops", k), lambda: top_bits(coboundary_bits(pair, k)))
+
+
 # -- cup_i products ------------------------------------------------------
 
 
@@ -396,12 +401,15 @@ class CohomologySolver:
     """Basis of H^k(X, Y; F2) with exact decomposition certificates.
 
     Columns are ordered by the canonical (sorted) simplex enumeration.
-    ``_gf2.cleared_kernel`` keeps only the cocycles of the kernel of d_k
-    that survive modulo the image of d_{k-1} (exactly dim H^k of them, where
-    the whole kernel can run to thousands), and ``_gf2.representatives``
-    reduces those against the boundary echelon.  The clearing skips only
-    work that would have stored nothing, so bases and certificates are
-    those of reducing the whole kernel, and reproducible.
+    Two clearings (``_gf2``) skip the columns at the top bits of an image:
+    those of d_k at the top bits of im d_{k-1}, so the kernel holds only the
+    dim H^k cocycles that survive modulo the boundaries, and those of
+    d_{k-1} at the top bits of im d_{k-2}, about half of the boundary
+    echelon's columns on a subdivided 3-manifold and the costliest ones.
+    A skipped column is dependent on earlier ones and would have stored no
+    row and no tracker, so bases and certificates are those of the
+    unskipped elimination, and reproducible.  Each top-bit pass runs once
+    per pair and operator, shared by consecutive degrees.
     """
 
     def __init__(self, pair: ComplexPair, degree: int) -> None:
@@ -411,8 +419,9 @@ class CohomologySolver:
 
         below = coboundary_bits(pair, degree - 1)
         self._shift = len(below)
+        _, cocycles = eliminate(coboundary_bits(pair, degree), _tops(pair, degree - 1))
         self._ech, self._rep_bits = representatives(
-            below, cleared_kernel(below, coboundary_bits(pair, degree)), self._shift)
+            below, cocycles, self._shift, _tops(pair, degree - 2))
         self.basis: Tuple[Cochain, ...] = tuple(
             from_bits(pair, degree, r) for r in self._rep_bits)
 
@@ -449,13 +458,17 @@ class CohomologySolver:
         return from_bits(self.pair, self.degree, combine(self._rep_bits, bits))
 
 
+def solver(pair: ComplexPair, k: int) -> CohomologySolver:
+    """The degree-k solver of pair, built once per pair and degree."""
+    return cached(pair, ("solver", k), lambda: CohomologySolver(pair, k))
+
+
 def wu_v2_check(m: ManifoldPair) -> Optional[Cochain]:
     """None when v2 vanishes, else a basis cocycle c with integral(Sq^2 c) = 1."""
     k = m.n - 2
     if k < 0:
         return None
-    solver = CohomologySolver(m.pair, k)
-    for c in solver.basis:
+    for c in solver(m.pair, k).basis:
         if integrate(m, sq(2, c)) % 2:
             return c
     return None

@@ -31,6 +31,7 @@ from .cochains import (
     from_bits,
     integrate,
     pullback,
+    solver,
     sq,
     to_bits,
     zero_cochain,
@@ -139,10 +140,10 @@ class _SequenceData:
     def __init__(self, pair: ComplexPair, n: int) -> None:
         self.pair = pair
         self.n = n
-        self.s_nm2 = CohomologySolver(pair, n - 2) if n >= 2 else None
-        self.s_nm1 = CohomologySolver(pair, n - 1)
-        self.s_n = CohomologySolver(pair, n)
-        self.s_np1 = CohomologySolver(pair, n + 1)
+        self.s_nm2 = solver(pair, n - 2) if n >= 2 else None
+        self.s_nm1 = solver(pair, n - 1)
+        self.s_n = solver(pair, n)
+        self.s_np1 = solver(pair, n + 1)
 
         def coords_bits(solver: CohomologySolver, c: Cochain) -> int:
             coords, _ = solver.decompose(c)
@@ -468,7 +469,7 @@ def g_spin_profile(m, n: int) -> SpinProfile:
     data = _sequence_data(pair, n)
     manifold = m if isinstance(m, ManifoldPair) else None
     connected = (manifold is not None
-                 and CohomologySolver(manifold.absolute(), 0).dim == 1)
+                 and solver(manifold.absolute(), 0).dim == 1)
     if (manifold is not None and n == manifold.n and connected
             and not manifold.orientable):
         # H^n(M, bd M; R/Z) = Hom(H_n; R/Z) = 0 for connected nonorientable M,

@@ -291,6 +291,8 @@ def run_suites(trials: int = 1000, seed: int = 0,
     """Run the named suites (all by default); mutate_signs injects the wrong
     cup_i sign as a control and is expected to make the coboundary and
     suspension suites fail."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     cup = _mutant_cup if mutate_signs else cup_i
     out = []
     for name in names or ALL_SUITES:

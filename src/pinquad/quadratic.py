@@ -31,6 +31,7 @@ from .cochains import (
     from_bits,
     integrate,
     pullback,
+    solver,
     sq,
     wu_v2_check,
 )
@@ -93,7 +94,7 @@ class _Context:
         if witness is not None:
             raise WuObstruction(witness)
         self.manifold = m
-        self.solver = CohomologySolver(m.pair, m.n - 1)
+        self.solver = solver(m.pair, m.n - 1)
         basis = self.solver.basis
         n = m.n
         self.sq1 = tuple(integrate(m, sq(1, p)) % 2 for p in basis)
@@ -356,8 +357,8 @@ def pushforward(f: SimplicialMap, q_source: QuadraticFunction,
     if f.source is not q_source.manifold.complex or f.target is not target.complex:
         raise ValueError("map endpoints do not match the manifolds")
     n = target.n
-    top_target = CohomologySolver(target.pair, n)
-    top_source = CohomologySolver(q_source.manifold.pair, n)
+    top_target = solver(target.pair, n)
+    top_source = solver(q_source.manifold.pair, n)
     rows = []
     for w in top_target.basis:
         coords, _ = top_source.decompose(pullback(f, w))
@@ -581,6 +582,8 @@ def random_relative_cocycle(rng: random.Random, q: QuadraticFunction) -> Cochain
 def verify_axioms(q: QuadraticFunction, trials: int = 100,
                   seed: int = 0) -> VerifyReport:
     """Randomized check of both defining conditions."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     rng = random.Random(seed)
     m = q.manifold
     n = m.n

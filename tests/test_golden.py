@@ -9,6 +9,7 @@ rewrite them after an intended change of output:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,8 +17,8 @@ import os
 import pytest
 
 from pinquad.cli import main
-from pinquad.cochains import CohomologySolver, Z2, Cochain, d
-from pinquad.complexes import ComplexPair
+from pinquad.cochains import CohomologySolver, Z2, Cochain, d, to_bits
+from pinquad.complexes import ComplexPair, barycentric_subdivide, validate_manifold
 from pinquad.errors import PinquadError
 from pinquad.fixtures import CATALOG_NAMES, catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.ggroups import g_pin
@@ -91,6 +92,28 @@ def library_record(name):
 LIBRARY_NAMES = CATALOG_NAMES + ("mobius(raw)", "annulus(raw)")
 
 
+def solver_digest(pair, k):
+    """SHA-256 of the basis bits and of every echelon row (pivot, bits,
+    tracker) of the degree-k solver, in hex."""
+    solver = CohomologySolver(pair, k)
+    h = hashlib.sha256()
+    for b in solver.basis:
+        h.update(b"b %x\n" % to_bits(pair, b))
+    for p in sorted(solver._ech.rows):
+        bits, track = solver._ech.rows[p]
+        h.update(b"r %d %x %x\n" % (p, bits, track))
+    return h.hexdigest()
+
+
+def sd_solid_torus_digests():
+    """One line per degree 1..3 of sd(solid_torus) relative to its
+    boundary, the subdivided 3-manifold whose boundary echelons are the
+    widest in the test suite."""
+    m = catalog("solid_torus")
+    pair = validate_manifold(barycentric_subdivide(m.complex).complex, m.n).pair
+    return "".join(f"{k} {solver_digest(pair, k)}\n" for k in (1, 2, 3))
+
+
 def _read(fname):
     with open(os.path.join(GOLDEN, fname), encoding="utf-8") as f:
         return f.read()
@@ -108,6 +131,10 @@ def test_library_certificates_match_golden(name):
     assert library_record(name) == golden[name]
 
 
+def test_sd_solid_torus_solver_matches_golden_digest():
+    assert sd_solid_torus_digests() == _read("sd_solid_torus_solver.sha256")
+
+
 def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     for name in CLI_FIXTURES:
@@ -116,6 +143,9 @@ def regenerate():
     with open(os.path.join(GOLDEN, "library.jsonl"), "w", encoding="utf-8") as f:
         for name in LIBRARY_NAMES:
             f.write(library_record(name))
+    with open(os.path.join(GOLDEN, "sd_solid_torus_solver.sha256"), "w",
+              encoding="utf-8") as f:
+        f.write(sd_solid_torus_digests())
 
 
 if __name__ == "__main__":

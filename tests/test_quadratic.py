@@ -530,6 +530,12 @@ class TestVerify:
         monkeypatch.setattr(qm, "_fold", real_fold)
         assert not report.ok
 
+    def test_negative_trials_are_refused(self, rp2):
+        q = enumerate_quadratics(rp2, PIN)[0]
+        with pytest.raises(ValueError):
+            verify_axioms(q, -5)
+        assert verify_axioms(q, 0).ok
+
 
 # every catalog manifold that carries quadratic functions
 QUAD_FIXTURES = tuple(name for name in CATALOG_NAMES if name not in ("sphere0", "cp2"))
@@ -548,6 +554,24 @@ def test_v1_pairing_rows_match_cup_products(name):
             if integrate(m, cup_i(dual_cochain(m.complex, e), p, 0)) % 2:
                 want |= 1 << j
         assert row == want, e
+
+
+def test_g_pin_then_quad_context_builds_each_degree_once(monkeypatch):
+    from pinquad.ggroups import g_pin
+
+    built = []
+    init = CohomologySolver.__init__
+
+    def counting_init(self, pair, degree):
+        built.append(degree)
+        init(self, pair, degree)
+
+    monkeypatch.setattr(CohomologySolver, "__init__", counting_init)
+    sphere3 = catalog("sphere3")
+    m = validate_manifold(sphere3.complex, sphere3.n)  # a pair nothing has cached
+    g_pin(m.pair, m.n)
+    quad_context(m)
+    assert sorted(built) == [1, 2, 3, 4]
 
 
 def test_enumeration_budget_refuses_eleven_tori(eleven_tori):

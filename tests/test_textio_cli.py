@@ -306,6 +306,33 @@ class TestCliMalformedInput:
                             "--cochain", str(path)], capsys)
 
 
+class TestCliNegativeCounts:
+    """A negative trial count or budget is a usage error, not a silent pass."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ggroup", "--fixture", "rp2", "--engine", "bruteforce", "--budget-log2", "-3"],
+        ["quad", "verify", "--fixture", "rp2", "--trials", "-5"],
+        ["identities", "--trials", "-3"],
+    ])
+    def test_negative_count_is_exit_1(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if "error:" in l]
+        # the option is named, so the refusal comes from the parser
+        assert len(errors) == 1 and f"{argv[-2]}: {argv[-1]} is negative" in errors[0]
+
+    def test_zero_trials_still_run(self, capsys):
+        assert main(["quad", "verify", "--fixture", "rp2", "--trials", "0"]) == 0
+        assert "0 trials: 0 failures" in capsys.readouterr().out
+
+    def test_run_suites_refuses_negative_trials(self):
+        from pinquad.identities import run_suites
+
+        with pytest.raises(ValueError):
+            run_suites(trials=-3)
+
+
 def test_enumerate_past_the_budget_is_exit_2(tmp_path, capsys, eleven_tori):
     path = tmp_path / "tori.txt"
     path.write_text(format_complex(eleven_tori.complex))
