@@ -31,7 +31,6 @@ class OrderedComplex:
         self,
         simplices_by_dim: Mapping[int, Sequence[Simplex]],
         rank: Mapping[int, int],
-        labels: Optional[Mapping[int, str]] = None,
     ) -> None:
         self.rank: Dict[int, int] = dict(rank)
         self.simplices_by_dim: Dict[int, Tuple[Simplex, ...]] = {
@@ -39,7 +38,6 @@ class OrderedComplex:
             for k, sims in simplices_by_dim.items()
             if sims
         }
-        self.labels: Dict[int, str] = dict(labels) if labels else {}
         self._simplex_set = frozenset(
             s for sims in self.simplices_by_dim.values() for s in sims
         )
@@ -105,7 +103,6 @@ def face_closure(simplices: Iterable[Simplex]) -> set:
 def build_complex(
     maximal_simplices: Iterable[Sequence[int]],
     rank: Optional[Mapping[int, int]] = None,
-    labels: Optional[Mapping[int, str]] = None,
 ) -> OrderedComplex:
     """Close the given simplices under faces; default rank is the vertex id."""
     maximal = [tuple(s) for s in maximal_simplices]
@@ -128,7 +125,7 @@ def build_complex(
     by_dim: Dict[int, List[Simplex]] = {}
     for face in face_closure(sorted_maximal):
         by_dim.setdefault(len(face) - 1, []).append(face)
-    return OrderedComplex(by_dim, {v: rank[v] for v in verts}, labels)
+    return OrderedComplex(by_dim, {v: rank[v] for v in verts})
 
 
 class SimplicialMap:
@@ -344,7 +341,8 @@ def validate_manifold(
     boundary-vertices-first rank condition raise NeedsSubdivision (one
     barycentric subdivision always repairs both) unless the corresponding
     require_* flag is off, in which case the defect is recorded on the
-    result.
+    result.  An explicit orientation must sign exactly the top simplices,
+    each +1 or -1, with the signs cancelling on every interior face.
     """
     if isinstance(x, ComplexPair):
         given_sub = x.sub
@@ -407,6 +405,9 @@ def validate_manifold(
         orient = None
     else:
         orient = dict(orientation)
+        if (set(orient) != set(x.simplices(n))
+                or any(v not in (1, -1) for v in orient.values())):
+            raise NotPseudoManifold("an orientation gives each top simplex a sign +1 or -1")
         for face in interior:
             a, b = cofaces[face]
             ja = a.index(next(v for v in a if v not in face))

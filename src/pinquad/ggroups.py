@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ._gf2 import Echelon, combine, eliminate, low_bit, nullspace, rank
+from ._gf2 import Echelon, combine, eliminate, nullspace, rank
 from .cochains import (
     Cochain,
     CohomologySolver,
@@ -184,7 +184,7 @@ def _sequence_data(pair: ComplexPair, n: int) -> _SequenceData:
     return cached(pair, ("sequence", n), lambda: _SequenceData(pair, n))
 
 
-def qh_sh(pair: ComplexPair, n: int, mode: str = PIN) -> Tuple[int, int, int]:
+def qh_sh(pair: ComplexPair, n: int) -> Tuple[int, int, int]:
     """(dim QH^n, dim SH^{n-1}, rank phi) over F2."""
     data = _sequence_data(pair, n)
     return data.qh_dim, data.sh_dim, data.phi_rank
@@ -364,15 +364,8 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
         pb = packed & mask_e
         wb = packed >> ne
         for rw, rp, rows in gens:
-            cross = 0
-            tmp = pb
-            while tmp:
-                j = low_bit(tmp)
-                tmp &= tmp - 1
-                cross ^= rows[j]
-            newp = pb ^ rp
-            neww = wb ^ rw ^ cross
-            uf.union(idx, index[(neww << ne) | newp])
+            neww = wb ^ rw ^ combine(rows, pb)
+            uf.union(idx, index[(neww << ne) | (pb ^ rp)])
 
     roots: Dict[int, int] = {}
     for idx in range(len(elems)):

@@ -10,6 +10,14 @@ via decompose-and-correct: write p = sum a_j p_j + dc, fold the first law
 left-to-right over the support, then absorb the coboundary with the second
 law.  Well-definedness (certificate and fold-order independence) needs the
 degree-2 Wu class of M to vanish, which construction enforces.
+
+Q moves between manifolds through three primitives.  ``_restrict(q,
+target, transfer)`` reads Q off the basis of target through a cochain
+transfer; pushforward, the boundary, codimension-0 restriction and the
+cylinder ends all use it.  ``_push(f, c)`` moves a cochain along an
+injective simplicial map.  ``quadratic_from_prescribed`` goes the other
+way: it solves for the basis values that give prescribed values on
+another basis, through two ``_gf2.solve`` calls.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _gf2
 from .cochains import (
@@ -33,6 +41,7 @@ from .cochains import (
     pullback,
     solver,
     sq,
+    to_bits,
     wu_v2_check,
 )
 from .complexes import (
@@ -50,6 +59,7 @@ from .complexes import (
 from .errors import (
     SIZE_BUDGET,
     BudgetExceeded,
+    ComplexMismatch,
     ConstraintViolation,
     DegenerateSum,
     DegreeZero,
@@ -61,6 +71,7 @@ from .errors import (
     SpinOnNonorientable,
     WuObstruction,
 )
+from .suspension import boundary_transfer
 
 PIN = "pin"
 SPIN = "spin"
@@ -72,12 +83,6 @@ class QuadValue:
 
     mode: str
     z4: int
-
-    @property
-    def z2(self) -> int:
-        if self.mode != SPIN:
-            raise ValueError("z2 view is for spin mode")
-        return (self.z4 // 2) % 2
 
     @property
     def rmodz(self) -> Fraction:
@@ -111,6 +116,8 @@ class QuadraticFunction:
     """Immutable: a manifold, a mode, and one Z/4 value per basis cocycle."""
 
     def __init__(self, ctx: _Context, mode: str, basis_values: Sequence[int]) -> None:
+        if mode not in (PIN, SPIN):
+            raise ValueError(f"unknown mode {mode!r}")
         self.ctx = ctx
         self.manifold = ctx.manifold
         self.mode = mode
@@ -213,10 +220,11 @@ def act(q: QuadraticFunction, a: Cochain) -> QuadraticFunction:
         raise NotACocycle("the action needs a Z2 1-cocycle")
     if not d(a).is_zero():
         raise NotACocycle("da != 0")
-    new = [
-        (v + 2 * (integrate(q.manifold, cup_i(a, pj, 0)) % 2)) % 4
-        for v, pj in zip(q.basis_values, q.solver.basis)
-    ]
+    m = q.manifold
+    if a.complex is not m.complex:
+        raise ComplexMismatch("the 1-cocycle lives on a different complex")
+    shift = _gf2.combine(_pairing(q.ctx), to_bits(m.absolute(), a))
+    new = [(v + 2 * ((shift >> j) & 1)) % 4 for j, v in enumerate(q.basis_values)]
     return QuadraticFunction(q.ctx, q.mode, new)
 
 
@@ -235,16 +243,17 @@ def v1_witness(m: ManifoldPair) -> Cochain:
     ctx = quad_context(m)
     absolute = m.absolute()
     shift = len(absolute.relative_simplices(2))
-    pairing = _pairing_rows(m, ctx.solver.basis)
-    rows = [de | (pj << shift) for de, pj in zip(coboundary_bits(absolute, 1), pairing)]
-    target = 0
-    for j, s in enumerate(ctx.sq1):
-        if s:
-            target |= 1 << (shift + j)
-    sol = _gf2.solve(rows, target)
+    rows = [de | (pj << shift) for de, pj in zip(coboundary_bits(absolute, 1), _pairing(ctx))]
+    sol = _gf2.solve(rows, sum(s << (shift + j) for j, s in enumerate(ctx.sq1)))
     if sol is None:
         raise NotACocycle("no v1 witness cocycle exists (should not happen)")
     return from_bits(absolute, 1, sol)
+
+
+def _pairing(ctx: _Context) -> List[int]:
+    """The pairing rows of the context's basis, built once per manifold."""
+    m = ctx.manifold
+    return cached(m, "pairing", lambda: _pairing_rows(m, ctx.solver.basis))
 
 
 def _pairing_rows(m: ManifoldPair, basis: Sequence[Cochain]) -> List[int]:
@@ -278,50 +287,49 @@ def quadratic_from_prescribed(
     """The unique Q on m with Q(w_j) = target_values[j], for cocycles w_j
     whose classes form a basis of H^{n-1}(M, bd M; F2).
 
-    Values on the solver basis enter evaluation linearly mod 4, so they are
-    recovered by solving an invertible (mod 2, hence mod 4) linear system.
+    Write w_j = sum_l A_jl p_l + dc_j.  Values on the solver basis enter
+    evaluation linearly, Q(w_j) = sum_l A_jl v_l + o_j (mod 4) with o_j the
+    fold of w_j at zero basis values, so v solves A v = t - o (mod 4).  A
+    is invertible over F2, hence over Z/4, and the solution is unique; it
+    is found as v = v2 + 2u by two solves over F2: A v2 = t - o (mod 2),
+    then A u = (t - o - A v2) / 2 (mod 2), with A v2 the integer product.
     """
     ctx = quad_context(m)
     h = ctx.solver.dim
     if len(cocycles) != h or len(target_values) != h:
         raise ValueError("need exactly one cocycle and value per basis class")
-    rows = []
-    offsets = []
-    for w in cocycles:
+    rows = []  # row j of A as bits over l
+    rhs = []
+    for w, t in zip(cocycles, target_values):
         coords, cert = ctx.solver.decompose(w)
-        rows.append(list(coords))
-        offsets.append(_fold(ctx, coords, [0] * h, cert))
-    # solve sum_l rows[j][l] * v_l = target_j - offset_j (mod 4)
-    aug = [row[:] + [(t - o) % 4] for row, t, o in zip(rows, target_values, offsets)]
-    values = _solve_unit_mod4(aug, h)
-    if values is None:
+        rows.append(sum(a << l for l, a in enumerate(coords)))
+        rhs.append((t - _fold(ctx, coords, [0] * h, cert)) % 4)
+    cols = [sum(((r >> l) & 1) << j for j, r in enumerate(rows)) for l in range(h)]
+    if _gf2.rank(cols) < h:
         raise NotACocycle("prescribed cocycles do not span the cohomology")
+    v2 = _gf2.solve(cols, sum((b & 1) << j for j, b in enumerate(rhs)))
+    halves = [(b - bin(r & v2).count("1")) // 2 for r, b in zip(rows, rhs)]
+    u = _gf2.solve(cols, sum((c & 1) << j for j, c in enumerate(halves)))
+    values = [((v2 >> l) & 1) + 2 * ((u >> l) & 1) for l in range(h)]
     return QuadraticFunction(ctx, mode, values)
 
 
-def _solve_unit_mod4(aug: List[List[int]], h: int) -> Optional[List[int]]:
-    """Gaussian elimination mod 4 for a matrix with odd (unit) pivots."""
-    rows = [r[:] for r in aug]
-    perm = list(range(h))
-    for col in range(h):
-        piv = None
-        for r in range(col, len(rows)):
-            if rows[r][col] % 2 == 1:
-                piv = r
-                break
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = {1: 1, 3: 3}[rows[col][col] % 4]
-        rows[col] = [(x * inv) % 4 for x in rows[col]]
-        for r in range(len(rows)):
-            if r != col and rows[r][col] % 4:
-                f = rows[r][col] % 4
-                rows[r] = [(a - f * b) % 4 for a, b in zip(rows[r], rows[col])]
-    return [rows[j][h] % 4 for j in range(h)]
-
-
 # -- transfers -------------------------------------------------------------
+
+
+def _restrict(q: QuadraticFunction, target: ManifoldPair,
+              transfer: Callable[[Cochain], Cochain]) -> QuadraticFunction:
+    """The function on target whose value on each basis cocycle p is
+    Q(transfer(p))."""
+    ctx = quad_context(target)
+    return QuadraticFunction(
+        ctx, q.mode, [eval_quadratic(q, transfer(p)).z4 for p in ctx.solver.basis])
+
+
+def _push(f: SimplicialMap, c: Cochain) -> Cochain:
+    """c moved along an injective simplicial map: (f_* c)(f s) = c(s)."""
+    vals = {tuple(f.vertex_map[t] for t in s): v for s, v in c.values.items()}
+    return Cochain(f.target, c.degree, c.ring, vals)
 
 
 @dataclass
@@ -365,10 +373,7 @@ def pushforward(f: SimplicialMap, q_source: QuadraticFunction,
         rows.append(sum(b << j for j, b in enumerate(coords)))
     if _gf2.rank(rows) < top_source.dim:
         raise DegreeZero("pullback is not onto in degree n; even mod-2 degree")
-    ctx_t = quad_context(target)
-    pulled = [pullback(f, p) for p in ctx_t.solver.basis]
-    values = [eval_quadratic(q_source, w).z4 for w in pulled]
-    return QuadraticFunction(ctx_t, q_source.mode, values)
+    return _restrict(q_source, target, lambda p: pullback(f, p))
 
 
 def boundary_manifold(m: ManifoldPair) -> ManifoldPair:
@@ -380,17 +385,11 @@ def boundary_manifold(m: ManifoldPair) -> ManifoldPair:
 
 
 def boundary_quadratic(q: QuadraticFunction) -> QuadraticFunction:
-    """bd Q = Q o t* s, evaluated through d(extension by zero)."""
+    """bd Q = Q o t* s, evaluated through ``suspension.boundary_transfer``."""
     m = q.manifold
     if m.closed:
         raise EmptyBoundary("boundary quadratic needs a boundary")
-    bm = boundary_manifold(m)
-    ctx_b = quad_context(bm)
-    values = []
-    for u in ctx_b.solver.basis:
-        w = d(extend_by_zero(m.complex, u))
-        values.append(eval_quadratic(q, w).z4)
-    return QuadraticFunction(ctx_b, q.mode, values)
+    return _restrict(q, boundary_manifold(m), lambda u: boundary_transfer(m, u))
 
 
 def restrict_codim0(q: QuadraticFunction, v: ManifoldPair) -> QuadraticFunction:
@@ -405,15 +404,10 @@ def restrict_codim0(q: QuadraticFunction, v: ManifoldPair) -> QuadraticFunction:
     for s in v.complex.all_simplices():
         if not m.complex.has_simplex(s):
             raise NotNeatlyEmbedded(f"{s} is not a simplex of the ambient manifold")
-    ctx_v = quad_context(v)
-    values = []
-    for p in ctx_v.solver.basis:
-        w = extend_by_zero(m.complex, p)
-        try:
-            values.append(eval_quadratic(q, w).z4)
-        except (NotACocycle, NotRelative) as e:
-            raise NotNeatlyEmbedded(str(e))
-    return QuadraticFunction(ctx_v, q.mode, values)
+    try:
+        return _restrict(q, v, lambda p: extend_by_zero(m.complex, p))
+    except (NotACocycle, NotRelative) as e:
+        raise NotNeatlyEmbedded(str(e))
 
 
 def submanifold(m: ManifoldPair, top_simplices: Sequence) -> ManifoldPair:
@@ -445,23 +439,10 @@ def _cylinder_of(m: ManifoldPair) -> Tuple[Cylinder, ManifoldPair]:
     return cached(m, "cylinder", build)
 
 
-def _end_transfer(cyl: Cylinder, cm: ManifoldPair, end: SimplicialMap,
-                  u: Cochain) -> Cochain:
-    """d of the extension by zero of u pushed onto one end of the cylinder."""
-    vals = {}
-    for s, v in u.values.items():
-        vals[tuple(end.vertex_map[t] for t in s)] = v
-    pushed = Cochain(cyl.complex, u.degree, u.ring, vals)
-    return d(pushed)
-
-
 def cylinder_extend(q0: QuadraticFunction) -> CylinderExtension:
     """Extend Q0 on closed M to the prism I x M via the end-0 transfer."""
-    m = q0.manifold
-    cyl, cm = _cylinder_of(m)
-    transfers = [
-        _end_transfer(cyl, cm, cyl.end0, p) for p in q0.solver.basis
-    ]
+    cyl, cm = _cylinder_of(q0.manifold)
+    transfers = [d(_push(cyl.end0, p)) for p in q0.solver.basis]
     qhat = quadratic_from_prescribed(cm, q0.mode, transfers, q0.basis_values)
     return CylinderExtension(cyl, cm, qhat)
 
@@ -471,12 +452,7 @@ def cylinder_restrict(ext: CylinderExtension, end_index: int,
     """Restrict a cylinder quadratic function to one end, read back on M."""
     cyl = ext.cylinder
     end = cyl.end0 if end_index == 0 else cyl.end1
-    ctx = quad_context(base)
-    values = []
-    for p in ctx.solver.basis:
-        w = _end_transfer(cyl, ext.manifold, end, p)
-        values.append(eval_quadratic(ext.function, w).z4)
-    return QuadraticFunction(ctx, ext.function.mode, values)
+    return _restrict(ext.function, base, lambda p: d(_push(end, p)))
 
 
 # -- invariants ------------------------------------------------------------
@@ -541,10 +517,8 @@ def disjoint_sum(q1: QuadraticFunction, q2: QuadraticFunction):
     cocycles = []
     values = []
     for q, inc in ((q1, i1), (q2, i2)):
-        for p, v in zip(q.solver.basis, q.basis_values):
-            vals = {tuple(inc.vertex_map[t] for t in s): 1 for s in p.values}
-            cocycles.append(Cochain(z, p.degree, Z2, vals))
-            values.append(v)
+        cocycles += [_push(inc, p) for p in q.solver.basis]
+        values += q.basis_values
     qz = quadratic_from_prescribed(mz, q1.mode, cocycles, values)
     return mz, qz
 

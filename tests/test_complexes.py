@@ -188,6 +188,25 @@ class TestValidation:
         with pytest.raises(NotPseudoManifold):
             validate_manifold(torus.complex, 2, orientation=bad)
 
+    @pytest.mark.parametrize("change", ["drop", "edge", "sign"])
+    def test_explicit_orientation_covers_the_top_simplices(self, torus, change):
+        bad = dict(torus.orientation)
+        first = next(iter(bad))
+        if change == "drop":
+            del bad[first]
+        elif change == "edge":
+            bad[first[:2]] = 1
+        else:  # the signs still cancel, but are not +-1
+            bad = {s: 2 * v for s, v in bad.items()}
+        with pytest.raises(NotPseudoManifold):
+            validate_manifold(torus.complex, 2, orientation=bad)
+
+    def test_explicit_orientation_of_a_lone_triangle(self):
+        # no interior face, so no sign pair would notice the gap
+        with pytest.raises(NotPseudoManifold):
+            validate_manifold(build_complex([(0, 1, 2)]), 2, orientation={},
+                              require_full=False, require_ordering=False)
+
 
 class TestCollapse:
     def test_interval(self):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pinquad import _gf2
 from pinquad.cochains import (
     Cochain,
     CohomologySolver,
@@ -14,12 +15,14 @@ from pinquad.cochains import (
     sq,
     zero_cochain,
 )
-from pinquad.complexes import SimplicialMap, build_complex, validate_manifold
+from pinquad.complexes import SimplicialMap, build_complex, disjoint_union, validate_manifold
 from pinquad.errors import (
     BudgetExceeded,
+    ComplexMismatch,
     ConstraintViolation,
     DegreeZero,
     EmptyBoundary,
+    NotACocycle,
     NotClosedSurface,
     NotNeatlyEmbedded,
     SpinOnNonorientable,
@@ -43,6 +46,8 @@ from pinquad.quadratic import (
     negate,
     pushforward,
     quad_context,
+    quadratic_from_prescribed,
+    random_relative_cochain,
     random_relative_cocycle,
     restrict_codim0,
     submanifold,
@@ -91,6 +96,10 @@ class TestMake:
             make_quadratic(rp2, SPIN, [1])
         q = make_quadratic(torus, SPIN, [0, 2])
         assert q.basis_values == (0, 2)
+
+    def test_unknown_mode_is_refused(self, rp2):
+        with pytest.raises(ValueError):
+            make_quadratic(rp2, "spinn", [1])
 
     def test_wu_obstruction_on_cp2(self, cp2):
         with pytest.raises(WuObstruction):
@@ -227,6 +236,12 @@ class TestActNegate:
         noise = Cochain(klein.complex, 0, Z2,
                         {(v,): 1 for v in klein.complex.vertices[:4]})
         assert act(q, a) == act(q, a + d(noise))
+
+    def test_cochain_from_another_complex(self, torus, rp2):
+        q = enumerate_quadratics(torus, PIN)[0]
+        (x,) = quad_context(rp2).solver.basis
+        with pytest.raises(ComplexMismatch):
+            act(q, x)
 
     def test_negate_fixes_spin(self, torus):
         for q in enumerate_quadratics(torus, SPIN):
@@ -424,6 +439,75 @@ class TestSubdivisionTransfer:
             tr = transfer_subdivision(q)
             back = pushforward(tr.subdivision.to_base, tr.function, klein)
             assert back == q
+
+
+class TestPrescribed:
+    """Q from its values on cocycles whose classes form a basis."""
+
+    FIXTURES = ("rp2", "torus", "klein", "mobius", "solid_torus", "rp2+rp2")
+
+    @staticmethod
+    def _manifold(name):
+        if name != "rp2+rp2":
+            return catalog(name)
+        # two classes with odd Sq^1, so an entry of A v2 can reach 2
+        z, _, _ = disjoint_union(catalog("rp2").complex, catalog("rp2").complex)
+        return validate_manifold(z, 2)
+
+    @staticmethod
+    def _cocycles(rng, m, rows):
+        # w_j = sum_l rows[j]_l p_l + dc_j: a recombination of the solver
+        # basis plus coboundary noise, so every decomposition has a certificate
+        solver = quad_context(m).solver
+        return [solver.reconstruct([(r >> l) & 1 for l in range(solver.dim)])
+                + d(random_relative_cochain(rng, m, m.n - 2)) for r in rows]
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_round_trip_on_an_invertible_recombination(self, name):
+        m = self._manifold(name)
+        h = quad_context(m).solver.dim
+        rng = random.Random(41)
+        for mode in (PIN, SPIN) if m.orientable else (PIN,):
+            qs = enumerate_quadratics(m, mode)
+            for _ in range(6):
+                rows = [rng.getrandbits(h) for _ in range(h)]
+                while _gf2.rank(rows) < h:
+                    rows = [rng.getrandbits(h) for _ in range(h)]
+                ws = self._cocycles(rng, m, rows)
+                want = rng.choice(qs)
+                targets = [eval_quadratic(want, w).z4 for w in ws]
+                q = quadratic_from_prescribed(m, mode, ws, targets)
+                assert [eval_quadratic(q, w).z4 for w in ws] == targets
+                # the unique such Q, found by enumeration
+                assert q == want
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_dependent_cocycles_are_refused(self, name):
+        m = self._manifold(name)
+        h = quad_context(m).solver.dim
+        rng = random.Random(43)
+        # the last cocycle repeats the class of the first (or is exact)
+        rows = [1 << j for j in range(h - 1)] + [1 if h > 1 else 0]
+        ws = self._cocycles(rng, m, rows)
+        with pytest.raises(NotACocycle):
+            quadratic_from_prescribed(m, PIN, ws, quad_context(m).sq1)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_wrong_parity_names_the_basis_value(self, name):
+        m = self._manifold(name)
+        h = quad_context(m).solver.dim
+        rng = random.Random(47)
+        perm = list(range(h))
+        rng.shuffle(perm)
+        ws = self._cocycles(rng, m, [1 << perm[j] for j in range(h)])
+        q = rng.choice(enumerate_quadratics(m, PIN))
+        for k in range(h):
+            targets = [eval_quadratic(q, w).z4 for w in ws]
+            targets[k] += 1
+            with pytest.raises(ConstraintViolation) as info:
+                quadratic_from_prescribed(m, PIN, ws, targets)
+            # w_k is p_perm[k] up to a coboundary, so that value is the odd one
+            assert info.value.index == perm[k]
 
 
 class TestPushforward:

@@ -306,6 +306,15 @@ class TestCliMalformedInput:
                             "--cochain", str(path)], capsys)
 
 
+def test_partial_orientation_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "tetra.complex"
+    path.write_text("dim 2\nsimplex 0 1 2\nsimplex 0 1 3\nsimplex 0 2 3\n"
+                    "simplex 1 2 3\norient 0 1 2 +1\n")
+    assert main(["info", "--complex", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotPseudoManifold") and len(err.splitlines()) == 1
+
+
 class TestCliNegativeCounts:
     """A negative trial count or budget is a usage error, not a silent pass."""
 
