@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._gf2 import combine, eliminate, low_bit, representatives, top_bits
-from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached
+from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached, cofaces
 from .errors import (
     ComplexMismatch,
     InvariantViolation,
@@ -175,21 +175,18 @@ def view_z4_qmodz(c: Cochain) -> Cochain:
 
 
 def d(c: Cochain) -> Cochain:
-    """Simplicial coboundary (alternating signs; they vanish mod 2)."""
-    x = c.complex
-    k = c.degree
+    """Simplicial coboundary (alternating signs; they vanish mod 2), pushed
+    from each simplex of the support onto its cofaces."""
+    up = cofaces(c.complex, c.degree)
     vals: Dict[Simplex, object] = {}
-    if c.values:
-        for tau in x.simplices(k + 1):
-            total = Fraction(0) if c.ring == QMODZ else 0
-            for j in range(k + 2):
-                face = tau[:j] + tau[j + 1:]
-                v = c.values.get(face)
-                if v is not None:
-                    total = total + v if j % 2 == 0 else total - v
-            if total:
-                vals[tau] = total
-    return Cochain(x, k + 1, c.ring, vals)
+    for s, v in c.values.items():
+        entry = up[s]
+        e = entry[0]
+        for tau in entry[1:e + 1]:
+            vals[tau] = vals.get(tau, 0) + v
+        for tau in entry[e + 1:]:
+            vals[tau] = vals.get(tau, 0) - v
+    return Cochain(c.complex, c.degree + 1, c.ring, vals)
 
 
 # -- the mod-2 coboundary as bits -----------------------------------------
@@ -235,14 +232,10 @@ def coboundary_bits(pair: ComplexPair, k: int) -> List[int]:
     degree; callers must not mutate it.
     """
     def build() -> List[int]:
-        idx = _index(pair, k)
-        cols = [0] * len(idx)
-        for ja, tau in enumerate(pair.relative_simplices(k + 1)):
-            for face in itertools.combinations(tau, k + 1):
-                j = idx.get(face)
-                if j is not None:
-                    cols[j] |= 1 << ja
-        return cols
+        # the cofaces of a relative simplex are relative: the subcomplex is face-closed
+        idx = _index(pair, k + 1)
+        up = cofaces(pair.ambient, k)
+        return [sum(1 << idx[tau] for tau in up[s][1:]) for s in pair.relative_simplices(k)]
 
     return cached(pair, ("coboundary", k), build)
 

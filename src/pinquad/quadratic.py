@@ -218,12 +218,13 @@ def act(q: QuadraticFunction, a: Cochain) -> QuadraticFunction:
     """Change of structure by a 1-cocycle: values shift by 2 int(a u_0 p_j)."""
     if a.degree != 1 or a.ring != Z2:
         raise NotACocycle("the action needs a Z2 1-cocycle")
-    if not d(a).is_zero():
-        raise NotACocycle("da != 0")
     m = q.manifold
     if a.complex is not m.complex:
         raise ComplexMismatch("the 1-cocycle lives on a different complex")
-    shift = _gf2.combine(_pairing(q.ctx), to_bits(m.absolute(), a))
+    bits = to_bits(m.absolute(), a)
+    if _gf2.combine(coboundary_bits(m.absolute(), 1), bits):
+        raise NotACocycle("da != 0")
+    shift = _gf2.combine(_pairing(q.ctx), bits)
     new = [(v + 2 * ((shift >> j) & 1)) % 4 for j, v in enumerate(q.basis_values)]
     return QuadraticFunction(q.ctx, q.mode, new)
 

@@ -13,14 +13,14 @@ values `num/den`.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .cochains import Cochain, QMODZ, RINGS
 from .complexes import (
-    ManifoldPair, OrderedComplex, Simplex, build_complex, face_closure, validate_manifold,
+    ManifoldPair, OrderedComplex, Simplex, build_complex, face_closure, maximal_simplices,
+    validate_manifold,
 )
 from .errors import ParseError
 
@@ -126,14 +126,8 @@ def format_complex(x: OrderedComplex, *, orientation=None, name: str = "") -> st
     if any(x.rank[v] != v for v in x.vertices):
         for v in x.vertices:
             lines.append(f"rank {v} {x.rank[v]}")
-    coface_count = {s: 0 for s in x.all_simplices()}
-    for s in x.all_simplices():
-        if len(s) > 1:
-            for face in itertools.combinations(s, len(s) - 1):
-                coface_count[face] += 1
-    for s in x.all_simplices():
-        if coface_count[s] == 0:
-            lines.append("simplex " + " ".join(map(str, s)))
+    for s in maximal_simplices(x):
+        lines.append("simplex " + " ".join(map(str, s)))
     lines.append("boundary auto")
     if orientation:
         for s in sorted(orientation):

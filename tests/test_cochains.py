@@ -40,7 +40,7 @@ from pinquad.errors import (
     RingMismatch,
 )
 from pinquad.fixtures import CATALOG_NAMES, catalog
-from pinquad.identities import random_cochain
+from pinquad.identities import random_cochain, random_complex
 
 
 def triangle():
@@ -305,7 +305,8 @@ class TestWu:
 class TestCoboundaryBits:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_matches_signed_coboundary(self, name):
-        # the shared mod-2 operator against the independent signed d
+        # the mod-2 operator against signed d; both read the coface index, so
+        # TestCoboundaryReference checks d against a scan over faces
         m = catalog(name)
         pair = m.pair
         for k in range(m.n):
@@ -314,6 +315,44 @@ class TestCoboundaryBits:
             assert len(cols) == len(simplices)
             for col, s in zip(cols, simplices):
                 assert col == to_bits(pair, d(dual_cochain(m.complex, s))), (k, s)
+
+
+def face_scan_d(c):
+    """The coboundary by scanning every (k+1)-simplex for faces in the
+    support, independent of the coface index."""
+    x, k = c.complex, c.degree
+    vals = {}
+    for tau in x.simplices(k + 1):
+        total = 0
+        for j in range(k + 2):
+            v = c.values.get(tau[:j] + tau[j + 1:])
+            if v is not None:
+                total = total + v if j % 2 == 0 else total - v
+        if total:
+            vals[tau] = total
+    return Cochain(x, k + 1, c.ring, vals)
+
+
+class TestCoboundaryReference:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog(self, name):
+        x = catalog(name).complex
+        rng = random.Random(name)
+        for ring in (INT, Z2, Z4, QMODZ):
+            for k in range(-1, x.dim + 1):
+                c = random_cochain(rng, x, k, ring)
+                assert d(c) == face_scan_d(c), (ring, k)
+
+    def test_random_complexes(self):
+        # some random_complex draws are not pure: a maximal simplex lies
+        # below the top dimension
+        rng = random.Random(8)
+        for _ in range(60):
+            x = random_complex(rng)
+            for ring in (INT, Z2, Z4, QMODZ):
+                for k in range(x.dim + 1):
+                    c = random_cochain(rng, x, k, ring, density=rng.random())
+                    assert d(c) == face_scan_d(c), (x, ring, k)
 
 
 class TestInvariantChecks:

@@ -201,6 +201,12 @@ class TestValidation:
         with pytest.raises(NotPseudoManifold):
             validate_manifold(torus.complex, 2, orientation=bad)
 
+    @pytest.mark.parametrize("extra", [(2, 3), (3,)], ids=["dangling_edge", "isolated_vertex"])
+    def test_non_pure_is_refused(self, extra):
+        x = build_complex([(0, 1, 2), extra])
+        with pytest.raises(NotPseudoManifold):
+            validate_manifold(x, 2, require_full=False, require_ordering=False)
+
     def test_explicit_orientation_of_a_lone_triangle(self):
         # no interior face, so no sign pair would notice the gap
         with pytest.raises(NotPseudoManifold):

@@ -243,6 +243,12 @@ class TestActNegate:
         with pytest.raises(ComplexMismatch):
             act(q, x)
 
+    def test_non_cocycle_is_refused(self, torus):
+        q = enumerate_quadratics(torus, PIN)[0]
+        edge = torus.complex.simplices(1)[0]
+        with pytest.raises(NotACocycle):
+            act(q, dual_cochain(torus.complex, edge))
+
     def test_negate_fixes_spin(self, torus):
         for q in enumerate_quadratics(torus, SPIN):
             assert negate(q) == q

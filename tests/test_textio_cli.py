@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from pinquad.cli import main
 from pinquad.cochains import Cochain, INT, QMODZ, Z2, Z4
-from pinquad.errors import ParseError, PinquadError
+from pinquad.complexes import build_complex, face_closure
+from pinquad.errors import NotPseudoManifold, ParseError, PinquadError
 from pinquad.fixtures import catalog, fixture_text
+from pinquad.identities import random_complex
 from pinquad.textio import (
     complex_from_text,
     content_hash,
@@ -28,6 +31,25 @@ class TestComplexFormat:
         m = manifold_from_text(text)
         assert m.complex.f_vector() == torus.complex.f_vector()
         assert m.orientable
+
+    def test_round_trip_of_mixed_dimensions(self):
+        rng = random.Random(8)
+        mixed = 0
+        for _ in range(400):
+            x = random_complex(rng)
+            if face_closure(x.simplices(x.dim)) == set(x.all_simplices()):
+                continue  # pure: every maximal simplex is top-dimensional
+            mixed += 1
+            text = format_complex(x)
+            listed = [tuple(map(int, line.split()[1:])) for line in text.splitlines()
+                      if line.startswith("simplex")]
+            assert len({len(s) for s in listed}) > 1
+            assert not any(set(a) < set(b) for a in listed for b in listed)
+            for y in (build_complex(listed), complex_from_text(text)):
+                assert y.simplices_by_dim == x.simplices_by_dim and y.rank == x.rank
+            with pytest.raises(NotPseudoManifold):
+                manifold_from_text(text, require_full=False, require_ordering=False)
+        assert mixed >= 15
 
     def test_rank_lines(self):
         text = "dim 1\nrank 0 5\nrank 1 2\nsimplex 0 1\nboundary auto\n"
