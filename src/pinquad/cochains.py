@@ -10,6 +10,17 @@ integer sign convention is pinned by the coboundary identity
 
 together with the suspension relation, both of which the test suite checks
 verbatim.
+
+Two constructors.  ``Cochain(...)`` takes values from outside the engine
+(parsed files, ``extend_by_zero``, callers): it checks that each key is a
+simplex of the complex of the right dimension, then reduces the values
+into the ring with ``_reduced``, which drops zeros.  ``Cochain._of(...)``
+checks nothing.  It serves the producers whose keys are simplices reached
+through the complex and whose values are reduced and nonzero by
+construction or pass through ``_reduced``: ``d``, ``cup_i``, ``sq``, ``+``,
+``-``, ``from_bits``, ``pullback``, the embeddings, ``quadratic._push``
+and ``random_relative_cochain``, ``suspension.suspend`` and ``desuspend``.
+Re-checking their output was once the engine's largest cost.
 """
 
 from __future__ import annotations
@@ -17,7 +28,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._gf2 import combine, eliminate, low_bit, representatives, top_bits
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached, cofaces
@@ -38,15 +50,16 @@ QMODZ = "QmodZ"
 RINGS = (INT, Z2, Z4, QMODZ)
 
 
-def _norm(ring: str, v):
-    if ring == INT:
-        return int(v)
+def _reduced(ring: str, values: Dict[Simplex, object]) -> Dict[Simplex, object]:
+    """values reduced into ring, zeros dropped; the one normaliser."""
     if ring == Z2:
-        return int(v) % 2
+        return {s: 1 for s, v in values.items() if int(v) % 2}
+    if ring == INT:
+        return {s: w for s, v in values.items() if (w := int(v))}
     if ring == Z4:
-        return int(v) % 4
+        return {s: w for s, v in values.items() if (w := int(v) % 4)}
     if ring == QMODZ:
-        return Fraction(v) % 1
+        return {s: w for s, v in values.items() if (w := Fraction(v) % 1)}
     raise RingMismatch(f"unknown ring {ring}")
 
 
@@ -73,10 +86,16 @@ class Cochain:
                     raise ValueError(f"{s} is not a simplex of the complex")
                 if len(s) != degree + 1:
                     raise ValueError(f"{s} has the wrong dimension")
-                v = _norm(ring, v)
-                if v:
-                    vals[s] = v
+                vals[s] = v
+            vals = _reduced(ring, vals)
         self.values = vals
+
+    @classmethod
+    def _of(cls, complex: OrderedComplex, degree: int, ring: str, values: Dict) -> "Cochain":
+        """Unchecked: values reduced, nonzero, keyed by the complex's degree-k simplices."""
+        c = object.__new__(cls)
+        c.complex, c.degree, c.ring, c.values = complex, degree, ring, values
+        return c
 
     def __call__(self, s: Simplex):
         v = self.values.get(tuple(s))
@@ -110,13 +129,11 @@ class Cochain:
         vals = dict(self.values)
         for s, v in other.values.items():
             vals[s] = vals.get(s, 0) + v
-        return Cochain(self.complex, self.degree, self.ring, vals)
+        return Cochain._of(self.complex, self.degree, self.ring, _reduced(self.ring, vals))
 
     def __neg__(self) -> "Cochain":
-        return Cochain(
-            self.complex, self.degree, self.ring,
-            {s: -v for s, v in self.values.items()},
-        )
+        return Cochain._of(self.complex, self.degree, self.ring,
+                           _reduced(self.ring, {s: -v for s, v in self.values.items()}))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
@@ -148,27 +165,23 @@ def embed_z2_z4(c: Cochain) -> Cochain:
     """The inclusion Z/2 -> Z/4 sending 1 to 2."""
     if c.ring != Z2:
         raise RingMismatch("expected a Z2 cochain")
-    return Cochain(c.complex, c.degree, Z4, {s: 2 * v for s, v in c.values.items()})
+    return Cochain._of(c.complex, c.degree, Z4, {s: 2 * v for s, v in c.values.items()})
 
 
 def embed_z2_qmodz(c: Cochain) -> Cochain:
     """The inclusion Z/2 -> R/Z sending 1 to 1/2."""
     if c.ring != Z2:
         raise RingMismatch("expected a Z2 cochain")
-    return Cochain(
-        c.complex, c.degree, QMODZ,
-        {s: Fraction(v, 2) for s, v in c.values.items()},
-    )
+    return Cochain._of(c.complex, c.degree, QMODZ,
+                       {s: Fraction(v, 2) for s, v in c.values.items()})
 
 
 def view_z4_qmodz(c: Cochain) -> Cochain:
     """The R/Z view of a Z/4 cochain (value/4)."""
     if c.ring != Z4:
         raise RingMismatch("expected a Z4 cochain")
-    return Cochain(
-        c.complex, c.degree, QMODZ,
-        {s: Fraction(v, 4) for s, v in c.values.items()},
-    )
+    return Cochain._of(c.complex, c.degree, QMODZ,
+                       {s: Fraction(v, 4) for s, v in c.values.items()})
 
 
 # -- coboundary ----------------------------------------------------------
@@ -186,7 +199,7 @@ def d(c: Cochain) -> Cochain:
             vals[tau] = vals.get(tau, 0) + v
         for tau in entry[e + 1:]:
             vals[tau] = vals.get(tau, 0) - v
-    return Cochain(c.complex, c.degree + 1, c.ring, vals)
+    return Cochain._of(c.complex, c.degree + 1, c.ring, _reduced(c.ring, vals))
 
 
 # -- the mod-2 coboundary as bits -----------------------------------------
@@ -204,12 +217,11 @@ def to_bits(pair: ComplexPair, c: Cochain) -> int:
         raise RingMismatch("solver works over Z2")
     idx = _index(pair, c.degree)
     bits = 0
-    for s, v in c.values.items():
+    for s in c.values:
         j = idx.get(s)
         if j is None:
             raise NotRelative(f"{s} lies in the subcomplex")
-        if v:
-            bits |= 1 << j
+        bits |= 1 << j
     return bits
 
 
@@ -221,7 +233,7 @@ def from_bits(pair: ComplexPair, k: int, bits: int) -> Cochain:
         j = low_bit(bits)
         bits &= bits - 1
         vals[simplices[j]] = 1
-    return Cochain(pair.ambient, k, Z2, vals)
+    return Cochain._of(pair.ambient, k, Z2, vals)
 
 
 def coboundary_bits(pair: ComplexPair, k: int) -> List[int]:
@@ -265,9 +277,16 @@ def steenrod_sign_exponent(p: int, q: int, i: int, cuts: Tuple[int, ...]) -> int
             + i * (1 + q + ksum + p * q + c2p + c2q)) % 2
 
 
+def _face(positions: List[int]) -> Callable[[Simplex], Simplex]:
+    """The face of a simplex at the given positions, always as a tuple."""
+    t = positions[0]
+    return itemgetter(*positions) if len(positions) > 1 else itemgetter(slice(t, t + 1))
+
+
 @lru_cache(maxsize=None)
-def _cut_patterns(p: int, q: int, i: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]:
-    """Admissible (even positions, odd positions, sign exponent) triples.
+def _cut_patterns(p: int, q: int, i: int) -> Tuple[Tuple[Callable, Callable, int], ...]:
+    """Admissible (even face, odd face, sign exponent) triples, each face
+    read off the (p+q-i)-simplex by ``_face`` of its positions.
 
     The cut indices 0 <= k_0 < ... < k_i <= m (m = p+q-i) split [0, m] into
     blocks B_0=[0,k_0], B_1=[k_0,k_1], ..., B_{i+1}=[k_i,m] sharing the cut
@@ -280,25 +299,21 @@ def _cut_patterns(p: int, q: int, i: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[
         return ()
     out = []
     for cuts in itertools.combinations(range(m + 1), i + 1):
-        even: List[int] = []
-        odd: List[int] = []
-        even.extend(range(0, cuts[0] + 1))
-        for j in range(1, i + 2):
-            lo = cuts[j - 1]
-            hi = cuts[j] if j <= i else m
-            seg = range(lo, hi + 1)
-            if j % 2 == 0:
-                even.extend(seg)
-            else:
-                odd.extend(seg)
+        bounds = (0,) + cuts + (m,)
+        blocks = [range(lo, hi + 1) for lo, hi in zip(bounds, bounds[1:])]
+        even = [t for b in blocks[0::2] for t in b]
+        odd = [t for b in blocks[1::2] for t in b]
         if len(even) == p + 1 and len(odd) == q + 1:
             sign = steenrod_sign_exponent(p, q, i, cuts)
-            out.append((tuple(even), tuple(odd), sign))
+            out.append((_face(even), _face(odd), sign))
     return tuple(out)
 
 
 def cup_i(u: Cochain, v: Cochain, i: int) -> Cochain:
-    """Steenrod cup_i product; identically zero for i < 0 or i > min(p, q)."""
+    """Steenrod cup_i product; identically zero for i < 0 or i > min(p, q).
+
+    Only the (p+q-i)-simplices above both supports can be nonzero; they are
+    reached from the smaller support through the coface index."""
     if u.complex is not v.complex:
         raise ComplexMismatch("cup_i needs cochains on one complex")
     if u.ring != v.ring:
@@ -308,17 +323,21 @@ def cup_i(u: Cochain, v: Cochain, i: int) -> Cochain:
     p, q = u.degree, v.degree
     x = u.complex
     if i < 0 or i > p or i > q or not u.values or not v.values:
-        return Cochain(x, p + q - i, u.ring)
+        return Cochain._of(x, p + q - i, u.ring, {})
+    low, above = (p, u.values) if len(u.values) <= len(v.values) else (q, v.values)
+    for k in range(low, p + q - i):
+        up = cofaces(x, k)
+        above = {tau for s in above for tau in up[s][1:]}
     patterns = _cut_patterns(p, q, i)
     vals: Dict[Simplex, int] = {}
     mod2 = u.ring == Z2
-    for s in x.simplices(p + q - i):
+    for s in above:
         total = 0
         for even, odd, sign in patterns:
-            uv = u.values.get(tuple(s[t] for t in even))
+            uv = u.values.get(even(s))
             if not uv:
                 continue
-            vv = v.values.get(tuple(s[t] for t in odd))
+            vv = v.values.get(odd(s))
             if not vv:
                 continue
             term = uv * vv
@@ -327,7 +346,7 @@ def cup_i(u: Cochain, v: Cochain, i: int) -> Cochain:
             total %= 2
         if total:
             vals[s] = total
-    return Cochain(x, p + q - i, u.ring, vals)
+    return Cochain._of(x, p + q - i, u.ring, vals)
 
 
 def cup(u: Cochain, v: Cochain) -> Cochain:
@@ -339,6 +358,8 @@ def sq(i: int, c: Cochain) -> Cochain:
     if c.ring != Z2:
         raise RingMismatch("Sq^i is defined on Z2 cochains")
     k = c.degree
+    if i > k + 1:  # both cup terms vanish by degree
+        return Cochain._of(c.complex, k + i, Z2, {})
     return cup_i(c, c, k - i) + cup_i(c, d(c), k - i + 1)
 
 
@@ -359,32 +380,25 @@ def pullback(f: SimplicialMap, c: Cochain) -> Cochain:
         v = c.values.get(img)
         if v:
             vals[s] = v
-    return Cochain(f.source, c.degree, c.ring, vals)
+    return Cochain._of(f.source, c.degree, c.ring, vals)
 
 
 def integrate(m: ManifoldPair, w: Cochain):
     """Evaluate a top-degree cochain on the fundamental class.
 
-    Z2 and Z4 cochains sum plainly over all top simplices; Int and QmodZ
-    need an orientation and sum with signs.
+    The sum runs over the support, which lies in the top simplices: Z2 and
+    Z4 plainly, Int and QmodZ with the signs of the orientation they need.
     """
     if w.degree != m.n:
         raise ValueError(f"integrate needs degree {m.n}, got {w.degree}")
     if w.complex is not m.complex:
         raise ComplexMismatch("cochain lives on a different complex")
     if w.ring in (Z2, Z4):
-        total = 0
-        for s in m.fundamental:
-            total += w.values.get(s, 0)
-        return total % (2 if w.ring == Z2 else 4)
+        return sum(w.values.values()) % (2 if w.ring == Z2 else 4)
     if m.orientation is None:
         raise OrientationRequired("signed integration needs an orientation")
-    total = Fraction(0) if w.ring == QMODZ else 0
-    for s in m.fundamental:
-        v = w.values.get(s)
-        if v:
-            total += m.orientation[s] * v
-    return total % 1 if w.ring == QMODZ else total
+    total = sum(m.orientation[s] * v for s, v in w.values.items())
+    return Fraction(total) % 1 if w.ring == QMODZ else total
 
 
 # -- cohomology over F2 --------------------------------------------------

@@ -203,8 +203,9 @@ def _fold(ctx: _Context, coords: Sequence[int], values: Sequence[int],
         dc = d(cert)
         if not dc.is_zero():
             x = ctx.solver.reconstruct(coords)
-            val += 2 * (integrate(m, sq(2, cert)) % 2)
-            val += 2 * (integrate(m, cup_i(x, dc, n - 2)) % 2)
+            # Q(x + dc) = Q(x) + 2 int (c u_{n-4} c + c u_{n-3} dc + x u_{n-2} dc) mod 4
+            for a, b, i in ((cert, cert, n - 4), (cert, dc, n - 3), (x, dc, n - 2)):
+                val += 2 * integrate(m, cup_i(a, b, i))
     return val % 4
 
 
@@ -265,9 +266,8 @@ def _pairing_rows(m: ManifoldPair, basis: Sequence[Cochain]) -> List[int]:
     """
     back = {}
     for j, p in enumerate(basis):
-        for s, v in p.values.items():
-            if v:
-                back[s] = back.get(s, 0) ^ (1 << j)
+        for s in p.values:
+            back[s] = back.get(s, 0) ^ (1 << j)
     front = {}
     for s in m.fundamental:
         bits = back.get(s[1:])
@@ -330,7 +330,7 @@ def _restrict(q: QuadraticFunction, target: ManifoldPair,
 def _push(f: SimplicialMap, c: Cochain) -> Cochain:
     """c moved along an injective simplicial map: (f_* c)(f s) = c(s)."""
     vals = {tuple(f.vertex_map[t] for t in s): v for s, v in c.values.items()}
-    return Cochain(f.target, c.degree, c.ring, vals)
+    return Cochain._of(f.target, c.degree, c.ring, vals)
 
 
 @dataclass
@@ -536,11 +536,8 @@ class VerifyReport:
 
 def random_relative_cochain(rng: random.Random, m: ManifoldPair, k: int,
                             density: float = 0.5) -> Cochain:
-    vals = {}
-    for s in m.pair.relative_simplices(k):
-        if rng.random() < density:
-            vals[s] = 1
-    return Cochain(m.complex, k, Z2, vals)
+    return Cochain._of(m.complex, k, Z2, {
+        s: 1 for s in m.pair.relative_simplices(k) if rng.random() < density})
 
 
 def random_relative_cocycle(rng: random.Random, q: QuadraticFunction) -> Cochain:

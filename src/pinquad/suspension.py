@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cochains import Cochain, extend_by_zero, d
+from .cochains import Cochain, extend_by_zero, d, pullback
 from .complexes import (
     Collapse,
     Cone,
@@ -48,7 +48,7 @@ def suspend(ctx: SuspensionContext, c: Cochain) -> Cochain:
     if c.complex is not ctx.base:
         raise ComplexMismatch("cochain does not live on the suspension base")
     vals = {s + (ctx.upper,): v for s, v in c.values.items()}
-    return Cochain(ctx.total, c.degree + 1, c.ring, vals)
+    return Cochain._of(ctx.total, c.degree + 1, c.ring, vals)
 
 
 def desuspend(ctx: SuspensionContext, c: Cochain) -> Cochain:
@@ -57,10 +57,10 @@ def desuspend(ctx: SuspensionContext, c: Cochain) -> Cochain:
         raise ComplexMismatch("cochain does not live on the suspension")
     vals = {}
     for s, v in c.values.items():
-        if s[-1] != ctx.upper:
+        if s[-1] != ctx.upper or len(s) == 1:
             raise ValueError("cochain is not in the image of the suspension")
         vals[s[:-1]] = v
-    return Cochain(ctx.base, c.degree - 1, c.ring, vals)
+    return Cochain._of(ctx.base, c.degree - 1, c.ring, vals)
 
 
 def boundary_transfer(m: ManifoldPair, u: Cochain) -> Cochain:
@@ -78,6 +78,4 @@ def boundary_transfer(m: ManifoldPair, u: Cochain) -> Cochain:
 
 def collapse_transfer(col: Collapse, u: Cochain) -> Cochain:
     """t*(s u) computed literally through the collapse map."""
-    from .cochains import pullback
-
     return pullback(col.map, suspend(cone_context(col.cone), u))

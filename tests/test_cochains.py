@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,9 +17,11 @@ from pinquad.cochains import (
     dual_cochain,
     embed_z2_qmodz,
     embed_z2_z4,
+    from_bits,
     integrate,
     pullback,
     sq,
+    steenrod_sign_exponent,
     to_bits,
     view_z4_qmodz,
     wu_v2_check,
@@ -28,7 +31,10 @@ from pinquad.complexes import (
     absolute_pair,
     barycentric_subdivide,
     build_complex,
+    disjoint_union,
     identity_map,
+    maximal_simplices,
+    suspension,
     validate_manifold,
 )
 from pinquad.errors import (
@@ -41,6 +47,8 @@ from pinquad.errors import (
 )
 from pinquad.fixtures import CATALOG_NAMES, catalog
 from pinquad.identities import random_cochain, random_complex
+from pinquad.quadratic import random_relative_cochain
+from pinquad.suspension import desuspend, suspend, suspension_context
 
 
 def triangle():
@@ -362,3 +370,154 @@ class TestInvariantChecks:
         solver._rep_bits[0] ^= 1
         with pytest.raises(InvariantViolation):
             solver.decompose(p)
+
+
+def face_scan_cup(u, v, i):
+    """cup_i by scanning every (p+q-i)-simplex, with the cut positions
+    built here and read by indexing, independent of the coface index."""
+    p, q, x = u.degree, v.degree, u.complex
+    m = p + q - i
+    patterns = []
+    for cuts in itertools.combinations(range(m + 1), i + 1):
+        even, odd = list(range(0, cuts[0] + 1)), []
+        for j in range(1, i + 2):
+            seg = range(cuts[j - 1], (cuts[j] if j <= i else m) + 1)
+            (even if j % 2 == 0 else odd).extend(seg)
+        if len(even) == p + 1 and len(odd) == q + 1:
+            patterns.append((even, odd, steenrod_sign_exponent(p, q, i, cuts)))
+    vals = {}
+    for s in x.simplices(m):
+        total = 0
+        for even, odd, sign in patterns:
+            term = u(tuple(s[t] for t in even)) * v(tuple(s[t] for t in odd))
+            total += -term if sign and u.ring == INT else term
+        if total:
+            vals[s] = total
+    return Cochain(x, m, u.ring, vals)
+
+
+def supports(rng, x, k, ring):
+    """Cochains of degree k with empty, single-simplex, full and random support."""
+    simplices = x.simplices(k)
+
+    def value():
+        return 1 if ring == Z2 else rng.choice((-3, -2, -1, 1, 2, 3))
+
+    out = [Cochain(x, k, ring), random_cochain(rng, x, k, ring, density=rng.random())]
+    if simplices:
+        out.append(Cochain(x, k, ring, {rng.choice(simplices): value()}))
+        out.append(Cochain(x, k, ring, {s: value() for s in simplices}))
+    return out
+
+
+def check_cup_reference(x, rng):
+    for ring in (INT, Z2):
+        for p in range(x.dim + 1):
+            for q in range(x.dim + 1):
+                for i in range(max(0, p + q - x.dim), min(p, q) + 1):
+                    for u in supports(rng, x, p, ring):
+                        for v in supports(rng, x, q, ring):
+                            assert cup_i(u, v, i) == face_scan_cup(u, v, i), (ring, p, q, i)
+
+
+class TestCupReference:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog(self, name):
+        check_cup_reference(catalog(name).complex, random.Random(name))
+
+    def test_random_complexes(self):
+        # some random_complex draws are not pure: a maximal simplex lies
+        # below the top dimension
+        rng = random.Random(9)
+        drawn = [random_complex(rng) for _ in range(30)]
+        assert any(len(maximal_simplices(x)) > len(x.simplices(x.dim)) for x in drawn)
+        for x in drawn:
+            check_cup_reference(x, rng)
+
+    def test_degree_beyond_the_complex_is_zero(self, rp2):
+        u = random_cochain(random.Random(2), rp2.complex, 2, Z2)
+        assert cup_i(u, u, 0).is_zero() and cup_i(u, u, 0).degree == 4
+
+
+class TestSqByDegree:
+    def test_zero_above_degree_plus_one(self, rp2, solid_torus):
+        rng = random.Random(5)
+        for m in (rp2, solid_torus):
+            for k in range(m.n + 1):
+                c = random_cochain(rng, m.complex, k, Z2)
+                for i in range(k + 2, k + 5):
+                    s = sq(i, c)
+                    assert s.is_zero() and s.degree == k + i and s.ring == Z2
+                    assert s == cup_i(c, c, k - i) + cup_i(c, d(c), k - i + 1)
+
+
+def assert_valid(c):
+    """c stores no zero and is what the checking constructor makes of it."""
+    assert all(c.values.values()), c
+    assert Cochain(c.complex, c.degree, c.ring, c.values) == c
+
+
+class TestTrustedProducers:
+    def test_every_producer_over_every_ring(self, rp2, torus, solid_torus):
+        rng = random.Random(6)
+        for m in (rp2, torus, solid_torus):
+            x = m.complex
+            for ring in (INT, Z2, Z4, QMODZ):
+                for k in range(m.n + 1):
+                    a = random_cochain(rng, x, k, ring)
+                    b = random_cochain(rng, x, k, ring)
+                    for c in (d(a), a + b, a - b, -a, a + (-a)):
+                        assert_valid(c)
+            for k in range(m.n + 1):
+                for ring in (INT, Z2):
+                    a = random_cochain(rng, x, k, ring)
+                    b = random_cochain(rng, x, m.n - k, ring)
+                    for i in range(-1, k + 2):
+                        assert_valid(cup_i(a, b, i))
+                c = random_cochain(rng, x, k, Z2)
+                for i in range(-1, k + 3):
+                    assert_valid(sq(i, c))
+                z4 = random_cochain(rng, x, k, Z4)
+                for c in (embed_z2_z4(c), embed_z2_qmodz(c), view_z4_qmodz(z4)):
+                    assert_valid(c)
+                bits = rng.getrandbits(len(m.pair.relative_simplices(k)))
+                assert_valid(from_bits(m.pair, k, bits))
+                assert_valid(random_relative_cochain(rng, m, k))
+
+    def test_maps_and_suspensions(self, rp2):
+        rng = random.Random(7)
+        sd = barycentric_subdivide(rp2.complex)
+        ctx = suspension_context(suspension(rp2.complex))
+        for ring in (INT, Z2, Z4, QMODZ):
+            for k in range(3):
+                c = random_cochain(rng, rp2.complex, k, ring)
+                assert_valid(pullback(sd.to_base, c))
+                assert_valid(suspend(ctx, c))
+                assert_valid(desuspend(ctx, suspend(ctx, c)))
+
+    def test_push_along_an_injective_map(self, torus):
+        from pinquad.quadratic import _push
+
+        z, i1, i2 = disjoint_union(torus.complex, torus.complex)
+        rng = random.Random(8)
+        for k in range(3):
+            c = random_cochain(rng, torus.complex, k, Z2)
+            assert_valid(_push(i1, c))
+            assert_valid(_push(i2, c))
+
+    def test_checking_constructor_refuses_bad_keys(self):
+        x = triangle()
+        with pytest.raises(ValueError, match="not a simplex"):
+            Cochain(x, 1, Z2, {(0, 3): 1})
+        with pytest.raises(ValueError, match="wrong dimension"):
+            Cochain(x, 1, Z2, {(0, 1, 2): 1})
+        with pytest.raises(RingMismatch):
+            Cochain(x, 1, "Z8", {(0, 1): 1})
+
+    def test_checking_constructor_reduces(self):
+        x = triangle()
+        assert Cochain(x, 0, Z2, {(0,): 3, (1,): 2, (2,): -1}).values == {(0,): 1, (2,): 1}
+        assert Cochain(x, 0, Z4, {(0,): 6, (1,): 4, (2,): -1}).values == {(0,): 2, (2,): 3}
+        c = Cochain(x, 0, QMODZ, {(0,): Fraction(5, 4), (1,): 2})
+        assert c.values == {(0,): Fraction(1, 4)}
+        assert Cochain(x, 0, INT, {(0,): 0, (1,): -2}).values == {(1,): -2}

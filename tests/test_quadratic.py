@@ -672,3 +672,19 @@ def test_enumeration_budget_refuses_eleven_tori(eleven_tori):
         enumerate_quadratics(eleven_tori)
     with pytest.raises(BudgetExceeded):
         brown_gauss(make_quadratic(eleven_tori, PIN, ctx.sq1))
+
+
+class TestFoldOnAThreeManifold:
+    def test_coboundary_law_needs_the_c_cup0_dc_term(self, solid_torus):
+        # on a 3-manifold Q(dc) = 2 int (c u_{-1} c + c u_0 dc), and only the
+        # second term can be odd; draw until it is, so the term is exercised
+        q = enumerate_quadratics(solid_torus, PIN)[0]
+        rng = random.Random(11)
+        odd = 0
+        for _ in range(12):
+            c = random_relative_cochain(rng, solid_torus, 1)
+            term = integrate(solid_torus, cup_i(c, d(c), 0))
+            odd += term
+            assert eval_quadratic(q, d(c)).z4 == 2 * term
+            assert term == integrate(solid_torus, sq(2, c))
+        assert odd

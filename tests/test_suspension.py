@@ -163,3 +163,12 @@ class TestBoundaryTransfer:
             w = boundary_transfer(mobius, u_bc)
             assert d(w).is_zero()
             assert w.is_relative(mobius.pair)
+
+
+class TestDesuspendImage:
+    def test_the_upper_vertex_alone_is_not_in_the_image(self):
+        x = build_complex([(0, 1)])
+        ctx = suspension_context(suspension(x))
+        c = Cochain(ctx.total, 0, Z2, {(ctx.upper,): 1})
+        with pytest.raises(ValueError, match="image of the suspension"):
+            desuspend(ctx, c)
