@@ -21,6 +21,11 @@ so the kernel holds only the cocycles that survive as classes; in the
 second, only the discarded kernel would have seen the skipped columns.
 Clearing removes work, never a row, a tracker or a representative.
 
+Every nonzero vector of an echelon's span has its lowest bit at a pivot,
+so ``Echelon.normal`` picks one canonical element of each coset of the
+span: the one with no bit at a pivot.  Two vectors are congruent modulo the
+span exactly when their normal forms are equal.
+
 ``representatives(boundaries, cycles, shift, skip) -> (ech, reps)``:
 ``reps`` are the cycles, in order, reduced against the boundaries and the
 earlier representatives, the nonzero ones kept, then back-substituted so
@@ -61,6 +66,24 @@ class Echelon:
             bits ^= row[0]
             track ^= row[1]
         return bits, track
+
+    def normal(self, bits: int) -> int:
+        """The normal form of bits modulo the span of the rows: the one
+        element of bits + span with no bit at a pivot.  Linear in bits.
+
+        Walks the set bits from the lowest up, XOR-ing in the row at each
+        pivot (which changes only higher bits) and keeping each other bit.
+        """
+        out = 0
+        while bits:
+            low = bits & -bits
+            row = self.rows.get(low.bit_length() - 1)
+            if row is None:
+                out |= low
+                bits ^= low
+            else:
+                bits ^= row[0]
+        return out
 
     def add(self, bits: int, track: int = 0) -> Tuple[int, int]:
         """Reduce then insert if independent; return the remainder pair."""

@@ -102,6 +102,12 @@ class BudgetExceeded(PinquadError):
 SIZE_BUDGET = 1 << 20
 
 
+def check_budget(log2: int, what: str, budget: int = SIZE_BUDGET) -> None:
+    """Refuse an enumeration of 2^log2 elements larger than budget."""
+    if 1 << log2 > budget:
+        raise BudgetExceeded(f"2^{log2} {what} exceed the budget {budget}")
+
+
 class InvariantViolation(PinquadError):
     """An internal consistency check failed: the computed result is wrong."""
 

@@ -7,8 +7,10 @@ Elements are pairs (w, p) of relative cochains with dp = 0 and dw = Sq^2 p
 
 modulo the subgroup {(df + Sq^2 c, dc)}.  The closed-form engine reads the
 abelian quotient off the short exact sequence ends QH^n and SH^{n-1} and
-the rank of phi: [p] -> [Sq^1 p]; the brute-force oracle enumerates every
-pair and merges cosets with union-find.
+the rank of phi: [p] -> [Sq^1 p].  The brute-force oracle uses no part of
+that sequence: it enumerates the pairs with w stored modulo the central
+coboundaries (df, 0), in the normal form of the GF(2) layer, and merges
+the cosets of the (Sq^2 c, dc) generators with union-find.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ from .cochains import (
 from .complexes import ComplexPair, ManifoldPair, SimplicialMap, cached
 from .errors import (
     SIZE_BUDGET,
-    BudgetExceeded,
     InvariantViolation,
     NotACocycle,
     NotRelative,
     PairMismatch,
+    check_budget,
 )
 from .quadratic import PIN, SPIN, QuadraticFunction, eval_quadratic, make_quadratic
 
@@ -320,40 +322,59 @@ class _UnionFind:
 
 def g_pin_bruteforce(pair: ComplexPair, n: int,
                      size_budget: int = SIZE_BUDGET) -> GGroupStructure:
-    """Enumerate all pairs, merge cosets of the relation subgroup, and read
-    off the abelian profile.  Exact; feasible at fixture scale."""
+    """Enumerate the pairs modulo the coboundaries, merge cosets of the
+    relation subgroup with union-find, and read off the abelian profile.
+    Exact, and independent of the exact sequence.
+
+    Each w is stored in its normal form modulo B^n (``Echelon.normal``), so
+    the central relations (df, 0) hold by construction and only the
+    (Sq^2 c, dc) generators are merged.  w runs over w0 + Z^n/B^n for each
+    p in Z^{n-1} with Sq^2 p = dw0: at most 2^(dim Z^{n-1} + dim Z^n -
+    rank d_{n-1}) elements, which size_budget caps before any is built.
+    """
     x = pair.ambient
     e_list = pair.relative_simplices(n - 1)
     ne = len(e_list)
 
-    # cocycle spaces; wech also solves dw = Sq^2 p deterministically
-    d_cols_p = coboundary_bits(pair, n - 1)
-    z_p = nullspace(d_cols_p)
+    # one elimination of d_{n-1}: its kernel Z^{n-1} holds the p's and its
+    # echelon spans B^n; wech also solves dw = Sq^2 p deterministically
+    bech, z_p = eliminate(coboundary_bits(pair, n - 1))
     wech, z_w = eliminate(coboundary_bits(pair, n))
+    check_budget(len(z_p) + len(z_w) - bech.rank, "pairs", size_budget)
 
-    total = 1 << (len(z_p) + len(z_w))
-    if total > size_budget:
-        raise BudgetExceeded(f"{total} pairs exceed the budget {size_budget}")
+    normal = bech.normal
+    # a basis of Z^n/B^n in normal form; sums of normal forms are normal
+    quotient, _ = eliminate([normal(z) for z in z_w])
+    reps = [bits for bits, _ in quotient.rows.values()]
 
     elems: List[int] = []
     index: Dict[int, int] = {}
+
+    def pack(w: int, p: int) -> int:
+        return (normal(w) << ne) | p
+
+    def index_of(w: int, p: int) -> int:
+        i = index.get(pack(w, p))
+        if i is None:
+            raise InvariantViolation("a relation image or product is missing "
+                                     "from the enumerated quotient")
+        return i
+
     for a in range(1 << len(z_p)):
         pb = combine(z_p, a)
         rem, w0 = wech.reduce(to_bits(pair, sq(2, from_bits(pair, n - 1, pb))))
         if rem:
             continue
-        for b in range(1 << len(z_w)):
-            packed = ((w0 ^ combine(z_w, b)) << ne) | pb
+        for b in range(1 << len(reps)):
+            packed = pack(w0 ^ combine(reps, b), pb)
             index[packed] = len(elems)
             elems.append(packed)
 
-    # relation generators and their cup rows
+    # the (Sq^2 c, dc) generators and their cup rows
     gens: List[Tuple[int, int, List[int]]] = []  # (w bits, p bits, cup rows)
     def cup_rows(rp: Cochain) -> List[int]:
         return [to_bits(pair, cup_i(dual_cochain(x, e), rp, n - 2)) for e in e_list]
 
-    for rw in d_cols_p:
-        gens.append((rw, 0, [0] * ne))
     for t, rp in zip(pair.relative_simplices(n - 2), coboundary_bits(pair, n - 2)):
         gens.append((to_bits(pair, sq(2, dual_cochain(x, t))), rp,
                      cup_rows(from_bits(pair, n - 1, rp))))
@@ -364,8 +385,7 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
         pb = packed & mask_e
         wb = packed >> ne
         for rw, rp, rows in gens:
-            neww = wb ^ rw ^ combine(rows, pb)
-            uf.union(idx, index[(neww << ne) | (pb ^ rp)])
+            uf.union(idx, index_of(wb ^ rw ^ combine(rows, pb), pb ^ rp))
 
     roots: Dict[int, int] = {}
     for idx in range(len(elems)):
@@ -380,9 +400,9 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
         p2, w2 = pk2 & mask_e, pk2 >> ne
         cross = to_bits(pair, cup_i(from_bits(pair, n - 1, p1),
                                     from_bits(pair, n - 1, p2), n - 2))
-        return index[((w1 ^ w2 ^ cross) << ne) | (p1 ^ p2)]
+        return index_of(w1 ^ w2 ^ cross, p1 ^ p2)
 
-    ident_root = uf.find(index[0])
+    ident_root = uf.find(index_of(0, 0))
     involutions = 0
     for r, rep in roots.items():
         if uf.find(multiply(rep, rep)) == ident_root:

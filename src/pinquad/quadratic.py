@@ -57,8 +57,6 @@ from .complexes import (
     validate_manifold,
 )
 from .errors import (
-    SIZE_BUDGET,
-    BudgetExceeded,
     ComplexMismatch,
     ConstraintViolation,
     DegenerateSum,
@@ -70,6 +68,7 @@ from .errors import (
     NotRelative,
     SpinOnNonorientable,
     WuObstruction,
+    check_budget,
 )
 from .suspension import boundary_transfer
 
@@ -174,7 +173,7 @@ def enumerate_quadratics(m: ManifoldPair, mode: str = PIN) -> List[QuadraticFunc
     h = ctx.solver.dim
     if mode == SPIN and not m.orientable:
         raise SpinOnNonorientable("spin mode needs an oriented manifold")
-    _check_budget(h, "quadratic functions")
+    check_budget(h, "quadratic functions")
     out = []
     for bits in range(1 << h):
         values = [
@@ -182,11 +181,6 @@ def enumerate_quadratics(m: ManifoldPair, mode: str = PIN) -> List[QuadraticFunc
         ]
         out.append(QuadraticFunction(ctx, mode, values))
     return out
-
-
-def _check_budget(h: int, what: str) -> None:
-    if 1 << h > SIZE_BUDGET:
-        raise BudgetExceeded(f"2^{h} {what} exceed the budget {SIZE_BUDGET}")
 
 
 def _fold(ctx: _Context, coords: Sequence[int], values: Sequence[int],
@@ -470,7 +464,7 @@ def brown_gauss(q: QuadraticFunction):
     if m.n != 2 or not m.closed:
         raise NotClosedSurface("Gauss sums need a closed surface")
     h = q.solver.dim
-    _check_budget(h, "Gauss sum terms")
+    check_budget(h, "Gauss sum terms")
     re, im = 0, 0
     for bits in range(1 << h):
         coords = [(bits >> j) & 1 for j in range(h)]

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinquad._gf2 import eliminate, nullspace, rank, representatives, solve, top_bits
+from pinquad._gf2 import (
+    combine, eliminate, nullspace, rank, representatives, solve, top_bits)
 from pinquad.cochains import CohomologySolver, coboundary_bits, from_bits, to_bits
 from pinquad.complexes import barycentric_subdivide, validate_manifold
 from pinquad.fixtures import catalog
@@ -107,6 +108,22 @@ def test_representatives_are_a_basis_modulo_the_boundaries(case):
         rem, track = ech.reduce(z)
         assert rem == 0
         assert xor_of(reps, track >> shift) ^ xor_of(boundaries, track & mask) == z
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda r: st.tuples(
+    vectors(r), st.integers(0, (1 << r) - 1), st.integers(0, 255))))
+def test_normal_form_is_canonical_modulo_the_boundaries(case):
+    boundaries, w, r = case
+    ech, _ = eliminate(boundaries)
+    nf = ech.normal(w)
+    moved = w ^ combine(boundaries, r & ((1 << len(boundaries)) - 1))
+    assert ech.normal(moved) == nf
+    assert not any((nf >> p) & 1 for p in ech.rows)
+    assert nf ^ w in span(boundaries)
+    # the only element of the coset with no bit at a pivot
+    assert [v for v in (w ^ b for b in span(boundaries))
+            if not any((v >> p) & 1 for p in ech.rows)] == [nf]
 
 
 def reference_representatives(boundaries, columns, shift):

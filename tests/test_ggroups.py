@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,11 @@ from pinquad.cochains import (
     sq,
     zero_cochain,
 )
-from pinquad.complexes import absolute_pair
+from pinquad.complexes import absolute_pair, build_complex, validate_manifold
 from pinquad.cli import main
-from pinquad.errors import BudgetExceeded, NotACocycle, PairMismatch
-from pinquad.fixtures import catalog, raw_annulus_pair, raw_mobius_pair
+from pinquad import ggroups
+from pinquad.errors import BudgetExceeded, InvariantViolation, NotACocycle, PairMismatch
+from pinquad.fixtures import TORUS_TRIANGLES, catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.ggroups import (
     GPair,
     g_identity,
@@ -194,8 +196,38 @@ class TestOracle:
         assert gb.order == 2 ** sum(qh_sh(disk2.pair, 2)[:2])
 
     def test_budget(self, torus):
-        with pytest.raises(BudgetExceeded):
-            g_pin_bruteforce(torus.pair, 2, size_budget=1 << 10)
+        # 2^8 pairs of p in Z^1 times 2^1 classes of w modulo B^2
+        with pytest.raises(BudgetExceeded, match=r"^2\^9 pairs exceed the budget 256$"):
+            g_pin_bruteforce(torus.pair, 2, size_budget=1 << 8)
+        assert g_pin_bruteforce(torus.pair, 2, size_budget=1 << 9).order == 8
+
+    @pytest.mark.parametrize("name,n", [
+        ("torus", 1), ("torus", 2), ("klein", 1), ("klein", 2),
+        ("sphere3", 2), ("sphere3", 3), ("sphere3", 4),
+    ])
+    def test_engines_agree_beyond_rp2(self, name, n):
+        pair = catalog(name).pair
+        g = g_pin(pair, n)
+        gb = g_pin_bruteforce(pair, n)
+        assert (gb.summands, gb.order) == (g.summands, g.order)
+        assert gb.dims == g.dims
+
+    def test_torus_takes_under_a_second(self):
+        # a fresh complex, so no operator is cached from another test
+        torus = validate_manifold(build_complex(TORUS_TRIANGLES), 2)
+        t0 = time.perf_counter()
+        g_pin_bruteforce(torus.pair, 2)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_lost_key_is_an_invariant_violation(self, monkeypatch):
+        # a cross term that is no cocycle sends relation images and products
+        # out of the enumerated pairs (Z^2 is not all of C^2 on the 3-sphere)
+        sphere3 = catalog("sphere3")
+        x = sphere3.complex
+        garbage = dual_cochain(x, x.simplices(2)[0])
+        monkeypatch.setattr(ggroups, "cup_i", lambda a, b, i: garbage)
+        with pytest.raises(InvariantViolation, match="missing"):
+            g_pin_bruteforce(sphere3.pair, 2)
 
     def test_engines_agree_across_dimensions(self, rp2, sphere1, disk2):
         cases = [
@@ -336,9 +368,10 @@ class TestSpinProfile:
         assert not g_spin_profile(m, 2).resolved
 
 
-def test_default_budget_refuses_the_torus(torus, capsys):
-    # 2^22 pairs: the default budget refuses at once instead of enumerating
-    with pytest.raises(BudgetExceeded):
-        g_pin_bruteforce(torus.pair, 2)
-    assert main(["ggroup", "--fixture", "torus", "--engine", "bruteforce"]) == 2
+def test_default_budget_refuses_the_solid_torus(solid_torus, capsys):
+    # relative to its boundary, Z^2 alone is far past the budget even after
+    # the quotient by B^3; the budget refuses at once instead of enumerating
+    with pytest.raises(BudgetExceeded, match=r"^2\^\d+ pairs exceed the budget 1048576$"):
+        g_pin_bruteforce(solid_torus.pair, 3)
+    assert main(["ggroup", "--fixture", "solid_torus", "--engine", "bruteforce"]) == 2
     assert "BudgetExceeded" in capsys.readouterr().err
