@@ -1,25 +1,43 @@
 """GF(2) linear algebra on int bitsets: the package's one elimination layer.
 
-Vectors are Python ints; bit j is coordinate j.  No other module knows the
-pivot rule: a stored row of an ``Echelon`` is keyed by its lowest set bit,
-and columns are eliminated left to right in the order given.  Every basis,
-kernel and certificate is read off this elimination, so they are
-reproducible, and a change of pivot rule touches this module alone.
+Vectors are Python ints; bit j is coordinate j.  Columns are eliminated
+left to right in the order given, and no other module knows a pivot rule.
+Two rules are used, each where it is cheapest or needed.
 
-``top_bits(columns)`` is the one other pass: untracked, pivoting on the
-highest set bit, it returns P, the top bits of the span.  When the columns
-are d_{k-1} of a chain complex, each j in P is the top bit of some b with
-d_k b = 0, so column j of d_k is the XOR of earlier columns: the
-elimination would reduce it to zero and store no row and no tracker.  That
-is the clearing lemma (Bauer, Kerber and Reininghaus, "Clear and
-compress", 2014).  The cohomology solver passes P as the ``skip`` of
-``eliminate`` twice: P of d_{k-1} skips columns of d_k, and P of d_{k-2}
-skips columns of d_{k-1} in the boundary echelon of ``representatives``.
-In the first, kernel vector k_j (the unique cocycle e_j + earlier
-independent columns) lies in B + span(k_i, i < j) exactly when j is in P,
-so the kernel holds only the cocycles that survive as classes; in the
-second, only the discarded kernel would have seen the skipped columns.
-Clearing removes work, never a row, a tracker or a representative.
+Most results do not depend on the pivot rule.  Column j is independent
+when it is not in the span of the earlier columns left in; that greedy set
+is a property of the columns and their order alone.  Each of these is the
+unique combination of independent columns that it is:
+
+- a kernel tracker of ``nullspace``: e_j plus the earlier independent
+  columns that sum to the dependent column j;
+- the answer of ``solve``: the independent rows that sum to the target;
+- the rank, the number of independent columns, and ``top_bits``, the top
+  bits of the span, which depend on the span alone.
+
+So these run one pass pivoting on the highest set bit, which
+``bit_length`` reads in O(1): tracked for ``nullspace`` and ``solve``,
+untracked for ``top_bits`` and ``rank``.  The lowest-bit rule, which
+allocates two ints as wide as the vector to find each pivot, stays where
+the stored rows themselves are read: the ``Echelon`` of ``eliminate``.
+Its rows key ``representatives`` (whose residuals fix the cohomology bases
+and with them the golden files), the decompositions of the cohomology
+solver, the G^pin engine and the normal form of the brute-force oracle.
+A change of either rule touches this module alone.
+
+Clearing.  When the columns are d_{k-1} of a chain complex, each j in P =
+``top_bits(d_{k-1})`` is the top bit of some b with d_k b = 0, so column j
+of d_k is the XOR of earlier columns: an elimination would reduce it to
+zero and store no row.  That is the clearing lemma (Bauer, Kerber and
+Reininghaus, "Clear and compress", 2014).  The cohomology solver passes P
+as a ``skip`` three ways: P of d_{k-1} skips columns of d_k in
+``nullspace``, and in ``top_bits`` of d_k, whose span it leaves unchanged;
+P of d_{k-2} skips columns of d_{k-1} in the boundary echelon of
+``representatives``.  In the kernel, tracker k_j lies in B + span(k_i,
+i < j) exactly when j is in P, so the kernel holds only the cocycles that
+survive as classes; in the boundary echelon, only the discarded kernel
+would have seen the skipped columns.  Clearing removes work, never a row,
+a tracker or a representative.
 
 Every nonzero vector of an echelon's span has its lowest bit at a pivot,
 so ``Echelon.normal`` picks one canonical element of each coset of the
@@ -58,11 +76,11 @@ class Echelon:
 
     def reduce(self, bits: int, track: int = 0) -> Tuple[int, int]:
         """Reduce a vector against the stored rows; return the remainder."""
+        rows = self.rows
         while bits:
-            p = low_bit(bits)
-            row = self.rows.get(p)
+            row = rows.get((bits & -bits).bit_length() - 1)
             if row is None:
-                return bits, track
+                break
             bits ^= row[0]
             track ^= row[1]
         return bits, track
@@ -107,51 +125,81 @@ def combine(cols: Sequence[int], bits: int) -> int:
     return out
 
 
-def eliminate(columns: Sequence[int],
-              skip: Container[int] = ()) -> Tuple[Echelon, List[int]]:
-    """Eliminate columns left to right, tracking column j as bit j.
-
-    Returns the echelon of the column space and the kernel: the trackers t
-    with XOR_j t_j * columns[j] == 0, in the order the columns produced them.
-    The columns whose index is in skip are left out.
+def eliminate(columns: Sequence[int], skip: Container[int] = ()) -> Echelon:
+    """The lowest-bit echelon of the columns, eliminated left to right with
+    column j tracked as bit j.  The columns whose index is in skip are left
+    out.  For echelons that outlive the call; ``nullspace`` gives kernels.
     """
     ech = Echelon()
-    kernel = []
     for j, col in enumerate(columns):
+        if j not in skip:
+            ech.add(col, 1 << j)
+    return ech
+
+
+def _tracked(columns: Sequence[int],
+             skip: Container[int] = ()) -> Tuple[dict[int, Tuple[int, int]], List[int]]:
+    """The tracked highest-bit pass: rows keyed by their top bit, and the
+    kernel trackers, in the order the columns produced them."""
+    rows: dict[int, Tuple[int, int]] = {}
+    kernel = []
+    for j, v in enumerate(columns):
         if j in skip:
             continue
-        bits, track = ech.add(col, 1 << j)
-        if bits == 0:
+        track = 1 << j
+        while v:
+            p = v.bit_length() - 1
+            row = rows.get(p)
+            if row is None:
+                rows[p] = (v, track)
+                break
+            v ^= row[0]
+            track ^= row[1]
+        else:
             kernel.append(track)
-    return ech, kernel
+    return rows, kernel
+
+
+def nullspace(columns: Sequence[int], skip: Container[int] = ()) -> List[int]:
+    """Kernel of the linear map sending e_j to columns[j], j not in skip:
+    one tracker per dependent column j, e_j plus the earlier independent
+    columns that sum to column j."""
+    return _tracked(columns, skip)[1]
 
 
 def rank(rows: Sequence[int]) -> int:
-    return eliminate(rows)[0].rank
-
-
-def nullspace(columns: Sequence[int]) -> List[int]:
-    """Kernel of the linear map sending e_j to columns[j]."""
-    return eliminate(columns)[1]
+    return len(top_bits(rows))
 
 
 def solve(rows: Sequence[int], target: int) -> Optional[int]:
-    """Solve sum_j x_j * rows[j] == target; returns x bits or None."""
-    bits, track = eliminate(rows)[0].reduce(target)
-    return None if bits else track
+    """Solve sum_j x_j * rows[j] == target over the independent rows;
+    returns x bits or None."""
+    pivots, _ = _tracked(rows)
+    x = 0
+    while target:
+        row = pivots.get(target.bit_length() - 1)
+        if row is None:
+            return None
+        target ^= row[0]
+        x ^= row[1]
+    return x
 
 
-def top_bits(columns: Sequence[int]) -> FrozenSet[int]:
-    """The top bits of the span of columns: one untracked pass pivoting on
-    the highest set bit.  Its size is the rank."""
+def top_bits(columns: Sequence[int], skip: Container[int] = ()) -> FrozenSet[int]:
+    """The top bits of the span of the columns whose index is not in skip:
+    one untracked pass pivoting on the highest set bit.  Its size is the
+    rank."""
     top: dict[int, int] = {}
-    for v in columns:
+    for j, v in enumerate(columns):
+        if j in skip:
+            continue
         while v:
             p = v.bit_length() - 1
-            if p not in top:
+            row = top.get(p)
+            if row is None:
                 top[p] = v
                 break
-            v ^= top[p]
+            v ^= row
     return frozenset(top)
 
 
@@ -161,7 +209,7 @@ def representatives(boundaries: Sequence[int], cycles: Sequence[int],
 
     The boundary columns in skip must be dependent on earlier ones.
     """
-    ech, _ = eliminate(boundaries, skip)
+    ech = eliminate(boundaries, skip)
     reps = [r for r in (ech.add(z)[0] for z in cycles) if r]
     pivots = [low_bit(r) for r in reps]
     # distinct pivots, so one pass in descending pivot order reduces fully

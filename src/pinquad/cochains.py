@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ._gf2 import combine, eliminate, low_bit, representatives, top_bits
+from ._gf2 import combine, low_bit, nullspace, representatives, top_bits
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached, cofaces
 from .errors import (
     ComplexMismatch,
@@ -40,6 +40,7 @@ from .errors import (
     NotRelative,
     OrientationRequired,
     RingMismatch,
+    check_operator,
 )
 
 INT = "Int"
@@ -241,20 +242,37 @@ def coboundary_bits(pair: ComplexPair, k: int) -> List[int]:
 
     Entry j is d of the j-th relative k-simplex, as bits over the relative
     (k+1)-simplices, both in canonical order.  Built once per pair and
-    degree; callers must not mutate it.
+    degree; callers must not mutate it.  An operator whose dense size
+    exceeds ``errors.OPERATOR_BUDGET`` is refused before any column is built.
     """
     def build() -> List[int]:
+        simplices = pair.relative_simplices(k)
+        check_operator(k, len(simplices), len(pair.relative_simplices(k + 1)))
         # the cofaces of a relative simplex are relative: the subcomplex is face-closed
         idx = _index(pair, k + 1)
         up = cofaces(pair.ambient, k)
-        return [sum(1 << idx[tau] for tau in up[s][1:]) for s in pair.relative_simplices(k)]
+        columns = []
+        for s in simplices:
+            v = 0
+            for tau in up[s][1:]:
+                v |= 1 << idx[tau]
+            columns.append(v)
+        return columns
 
     return cached(pair, ("coboundary", k), build)
 
 
 def _tops(pair: ComplexPair, k: int) -> frozenset:
-    """The top bits of the image of d_k, as indices of relative (k+1)-simplices."""
-    return cached(pair, ("tops", k), lambda: top_bits(coboundary_bits(pair, k)))
+    """The top bits of the image of d_k, as indices of relative (k+1)-simplices.
+
+    The columns of d_k at ``_tops(pair, k - 1)`` are dependent on earlier
+    ones (the clearing lemma of ``_gf2``), so they are skipped: the span,
+    and with it its top bits, is the same.  The image of d_k is 0 for k < 0.
+    """
+    if k < 0:
+        return frozenset()
+    return cached(pair, ("tops", k), lambda: top_bits(
+        coboundary_bits(pair, k), _tops(pair, k - 1)))
 
 
 # -- cup_i products ------------------------------------------------------
@@ -407,7 +425,11 @@ def integrate(m: ManifoldPair, w: Cochain):
 class CohomologySolver:
     """Basis of H^k(X, Y; F2) with exact decomposition certificates.
 
-    Columns are ordered by the canonical (sorted) simplex enumeration.
+    Columns are ordered by the canonical (sorted) simplex enumeration.  The
+    cocycles are the kernel of d_k, from the highest-bit pass of
+    ``_gf2.nullspace``; the pivot rule does not move a kernel tracker.  The
+    representatives and the decompositions read the lowest-bit boundary
+    echelon of d_{k-1} (``_gf2.representatives``), which fixes the bases.
     Two clearings (``_gf2``) skip the columns at the top bits of an image:
     those of d_k at the top bits of im d_{k-1}, so the kernel holds only the
     dim H^k cocycles that survive modulo the boundaries, and those of
@@ -415,8 +437,10 @@ class CohomologySolver:
     echelon's columns on a subdivided 3-manifold and the costliest ones.
     A skipped column is dependent on earlier ones and would have stored no
     row and no tracker, so bases and certificates are those of the
-    unskipped elimination, and reproducible.  Each top-bit pass runs once
-    per pair and operator, shared by consecutive degrees.
+    unskipped elimination, and reproducible.  The top bits of im d_k are
+    found once per pair with the columns at those of im d_{k-1} skipped,
+    so a lone solver builds the chain below it and consecutive degrees
+    share it.
     """
 
     def __init__(self, pair: ComplexPair, degree: int) -> None:
@@ -426,7 +450,7 @@ class CohomologySolver:
 
         below = coboundary_bits(pair, degree - 1)
         self._shift = len(below)
-        _, cocycles = eliminate(coboundary_bits(pair, degree), _tops(pair, degree - 1))
+        cocycles = nullspace(coboundary_bits(pair, degree), _tops(pair, degree - 1))
         self._ech, self._rep_bits = representatives(
             below, cocycles, self._shift, _tops(pair, degree - 2))
         self.basis: Tuple[Cochain, ...] = tuple(

@@ -108,6 +108,21 @@ def check_budget(log2: int, what: str, budget: int = SIZE_BUDGET) -> None:
         raise BudgetExceeded(f"2^{log2} {what} exceed the budget {budget}")
 
 
+# The most bytes a mod-2 operator may take stored densely, one bit per
+# (k-simplex, (k+1)-simplex) pair; coboundary_bits refuses a larger one
+# before it builds a column.  sd(solid_torus) needs 34 MB for d_1,
+# sd^2(solid_torus) about 16 GB for d_2.
+OPERATOR_BUDGET = 1 << 28
+
+
+def check_operator(k: int, columns: int, bits: int) -> None:
+    """Refuse d_k with the given number of columns of the given width when
+    its dense size exceeds OPERATOR_BUDGET."""
+    size = columns * ((bits + 7) // 8)
+    if size > OPERATOR_BUDGET:
+        raise BudgetExceeded(f"{size} bytes of d_{k} exceed the budget {OPERATOR_BUDGET}")
+
+
 class InvariantViolation(PinquadError):
     """An internal consistency check failed: the computed result is wrong."""
 

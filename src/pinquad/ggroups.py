@@ -336,15 +336,16 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     e_list = pair.relative_simplices(n - 1)
     ne = len(e_list)
 
-    # one elimination of d_{n-1}: its kernel Z^{n-1} holds the p's and its
-    # echelon spans B^n; wech also solves dw = Sq^2 p deterministically
-    bech, z_p = eliminate(coboundary_bits(pair, n - 1))
-    wech, z_w = eliminate(coboundary_bits(pair, n))
+    # the kernel Z^{n-1} holds the p's and the echelon of d_{n-1} spans B^n;
+    # wech also solves dw = Sq^2 p deterministically
+    d_p, d_w = coboundary_bits(pair, n - 1), coboundary_bits(pair, n)
+    bech, z_p = eliminate(d_p), nullspace(d_p)
+    wech, z_w = eliminate(d_w), nullspace(d_w)
     check_budget(len(z_p) + len(z_w) - bech.rank, "pairs", size_budget)
 
     normal = bech.normal
     # a basis of Z^n/B^n in normal form; sums of normal forms are normal
-    quotient, _ = eliminate([normal(z) for z in z_w])
+    quotient = eliminate([normal(z) for z in z_w])
     reps = [bits for bits, _ in quotient.rows.values()]
 
     elems: List[int] = []

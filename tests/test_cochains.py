@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -27,7 +28,9 @@ from pinquad.cochains import (
     wu_v2_check,
     zero_cochain,
 )
+from pinquad import errors
 from pinquad.complexes import (
+    ComplexPair,
     absolute_pair,
     barycentric_subdivide,
     build_complex,
@@ -38,6 +41,7 @@ from pinquad.complexes import (
     validate_manifold,
 )
 from pinquad.errors import (
+    BudgetExceeded,
     ComplexMismatch,
     InvariantViolation,
     NotACocycle,
@@ -323,6 +327,65 @@ class TestCoboundaryBits:
             assert len(cols) == len(simplices)
             for col, s in zip(cols, simplices):
                 assert col == to_bits(pair, d(dual_cochain(m.complex, s))), (k, s)
+
+
+class TestOperatorBudget:
+    def test_default_admits_sd_solid_torus_and_refuses_sd2(self):
+        # relative f-vectors are at most the absolute ones: sd(solid_torus)
+        # is (2112, 12912, 21168, 10368), sd^2 (46560, 297984, 500256, 248832)
+        errors.check_operator(1, 12912, 21168)  # about 34 MB
+        with pytest.raises(BudgetExceeded, match=r"^15559962624 bytes of d_2 exceed"):
+            errors.check_operator(2, 500256, 248832)
+
+    def test_refused_before_any_column_is_built(self, monkeypatch):
+        sd = barycentric_subdivide(catalog("torus").complex).complex
+        pair = absolute_pair(sd)
+        # d_0 is 42 columns of 126 bits (672 bytes), d_1 126 of 84 (1386)
+        monkeypatch.setattr(errors, "OPERATOR_BUDGET", 1000)
+        with pytest.raises(BudgetExceeded, match=r"^1386 bytes of d_1 exceed the budget 1000$"):
+            CohomologySolver(pair, 1)
+        assert ("coboundary", 0) in pair.cache
+        assert ("coboundary", 1) not in pair.cache
+
+
+@lru_cache(maxsize=None)
+def _euler_fixture(name):
+    """A catalog entry, or with the prefix sd: its barycentric subdivision,
+    relative to the boundary."""
+    if name.startswith("sd:"):
+        m = catalog(name[3:])
+        return validate_manifold(barycentric_subdivide(m.complex).complex, m.n).pair
+    return catalog(name).pair
+
+
+EULER_FIXTURES = CATALOG_NAMES + tuple(
+    "sd:" + name for name in ("rp2", "torus", "klein", "mobius", "annulus", "sphere3"))
+
+
+class TestEulerCharacteristic:
+    """sum_k (-1)^k dim H^k(X, Y) equals the alternating sum of the relative
+    f-vector.  A skip set of the clearing that is too large loses classes
+    without any error; this catches it on the fixtures no golden covers."""
+
+    @staticmethod
+    def relative_euler(pair):
+        return sum((-1) ** k * len(pair.relative_simplices(k))
+                   for k in range(pair.ambient.dim + 1))
+
+    @pytest.mark.parametrize("name", EULER_FIXTURES)
+    def test_one_fresh_pair_per_degree(self, name):
+        # a lone degree-k solver builds the top-bit chain below it cold
+        shared = _euler_fixture(name)
+        dims = [CohomologySolver(ComplexPair(shared.ambient, shared.sub), k).dim
+                for k in range(shared.ambient.dim + 1)]
+        assert sum((-1) ** k * h for k, h in enumerate(dims)) == self.relative_euler(shared)
+
+    @pytest.mark.parametrize("name", EULER_FIXTURES)
+    def test_one_pair_for_all_degrees(self, name):
+        shared = _euler_fixture(name)
+        pair = ComplexPair(shared.ambient, shared.sub)
+        dims = [CohomologySolver(pair, k).dim for k in range(pair.ambient.dim + 1)]
+        assert sum((-1) ** k * h for k, h in enumerate(dims)) == self.relative_euler(pair)
 
 
 def face_scan_d(c):

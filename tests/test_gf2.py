@@ -1,11 +1,13 @@
 """The GF(2) elimination layer against brute force and an unskipped reference.
 
 Matrices are at most 8 x 8, so most claims are checked over all 2^cols
-combinations of the columns.  The two clearings, which skip the columns
-at the top bits of the image of the operator one degree down, are checked
-bit for bit against the whole kernel reduced in order onto the unskipped
-boundary echelon, on random chain complexes and on subdivided manifolds
-that the golden files do not cover.
+combinations of the columns.  The highest-bit kernel pass is checked
+against a lowest-bit kernel written out here, for arbitrary skip sets:
+kernels do not depend on the pivot rule.  The two clearings, which skip
+the columns at the top bits of the image of the operator one degree down,
+are checked bit for bit against that whole kernel reduced in order onto
+the unskipped boundary echelon, on random chain complexes and on
+subdivided manifolds that the golden files do not cover.
 """
 
 import random
@@ -51,17 +53,48 @@ def low(x):
     return (x & -x).bit_length() - 1
 
 
+def lowest_bit_kernel(columns, skip=()):
+    """The kernel trackers of a lowest-bit elimination written out here,
+    one per column that reduces to zero, in column order."""
+    rows = {}
+    kernel = []
+    for j, v in enumerate(columns):
+        if j in skip:
+            continue
+        t = 1 << j
+        while v and low(v) in rows:
+            r, rt = rows[low(v)]
+            v, t = v ^ r, t ^ rt
+        if v:
+            rows[low(v)] = (v, t)
+        else:
+            kernel.append(t)
+    return kernel
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices)
 def test_kernel_has_the_right_dimension_and_maps_to_zero(cols):
-    ech, kernel = eliminate(cols)
-    assert kernel == nullspace(cols)
-    assert ech.rank == bf_rank(cols)
+    kernel = nullspace(cols)
+    assert eliminate(cols).rank == bf_rank(cols)
     assert len(kernel) == len(cols) - bf_rank(cols)
     assert independent(kernel)
     for t in kernel:
         assert t and t < 1 << len(cols)
         assert xor_of(cols, t) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices.flatmap(lambda cols: st.tuples(
+    st.just(cols), st.sets(st.integers(0, max(len(cols) - 1, 0))))))
+def test_kernel_does_not_depend_on_the_pivot_rule(case):
+    cols, skip = case
+    kernel = nullspace(cols, skip)
+    assert kernel == lowest_bit_kernel(cols, skip)
+    kept = [c for j, c in enumerate(cols) if j not in skip]
+    assert len(kernel) == len(kept) - bf_rank(kept)
+    assert all(xor_of(cols, t) == 0 and not any((t >> j) & 1 for j in skip)
+               for t in kernel)
 
 
 @settings(max_examples=200, deadline=None)
@@ -115,7 +148,7 @@ def test_representatives_are_a_basis_modulo_the_boundaries(case):
     vectors(r), st.integers(0, (1 << r) - 1), st.integers(0, 255))))
 def test_normal_form_is_canonical_modulo_the_boundaries(case):
     boundaries, w, r = case
-    ech, _ = eliminate(boundaries)
+    ech = eliminate(boundaries)
     nf = ech.normal(w)
     moved = w ^ combine(boundaries, r & ((1 << len(boundaries)) - 1))
     assert ech.normal(moved) == nf
@@ -128,9 +161,10 @@ def test_normal_form_is_canonical_modulo_the_boundaries(case):
 
 def reference_representatives(boundaries, columns, shift):
     """Without clearing: every kernel vector added in order, then reduced
-    against each other until no representative has a bit at another's pivot."""
-    ech, _ = eliminate(boundaries)
-    reps = [r for r in (ech.add(z)[0] for z in nullspace(columns)) if r]
+    against each other until no representative has a bit at another's pivot.
+    The kernel is the lowest-bit one written out here, not ``nullspace``."""
+    ech = eliminate(boundaries)
+    reps = [r for r in (ech.add(z)[0] for z in lowest_bit_kernel(columns)) if r]
     changed = True
     while changed:
         changed = False
@@ -178,7 +212,7 @@ def test_cleared_representatives_match_the_unskipped_reference(case):
     _, boundaries, columns = case
     assert all(xor_of(columns, b) == 0 for b in boundaries)  # d d = 0
     shift = len(boundaries)
-    survivors = eliminate(columns, top_bits(boundaries))[1]
+    survivors = nullspace(columns, top_bits(boundaries))
     ech, reps = representatives(boundaries, survivors, shift)
     ref_ech, ref_reps = reference_representatives(boundaries, columns, shift)
     assert reps == ref_reps
@@ -202,6 +236,14 @@ def test_cleared_boundary_echelon_matches_the_unskipped_reference(case):
     ref_ech, ref_reps = reference_representatives(boundaries, columns, shift)
     assert reps == ref_reps
     assert ech.rows == ref_ech.rows  # rows and trackers
+
+
+@settings(max_examples=200, deadline=None)
+@given(relative_cochain_complexes())
+def test_skipping_the_top_bits_of_the_image_below_keeps_the_top_bits(case):
+    below, boundaries, columns = case
+    assert top_bits(boundaries, top_bits(below)) == top_bits(boundaries)
+    assert top_bits(columns, top_bits(boundaries)) == top_bits(columns)
 
 
 def _subdivided(name):

@@ -370,3 +370,15 @@ def test_enumerate_past_the_budget_is_exit_2(tmp_path, capsys, eleven_tori):
     assert main(["quad", "enumerate", "--complex", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: BudgetExceeded") and len(err.splitlines()) == 1
+
+
+def test_an_operator_past_the_byte_budget_is_exit_2(tmp_path, capsys, monkeypatch):
+    from pinquad import errors
+    from pinquad.complexes import barycentric_subdivide
+
+    path = tmp_path / "sd_torus.txt"
+    path.write_text(format_complex(barycentric_subdivide(catalog("torus").complex).complex))
+    monkeypatch.setattr(errors, "OPERATOR_BUDGET", 1000)
+    assert main(["cohomology", "--complex", str(path), "-k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: BudgetExceeded: 1386 bytes of d_1 exceed the budget 1000\n"
