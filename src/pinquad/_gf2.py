@@ -167,6 +167,14 @@ def nullspace(columns: Sequence[int], skip: Container[int] = ()) -> List[int]:
     return _tracked(columns, skip)[1]
 
 
+def nullspace_and_top_bits(columns: Sequence[int],
+                           skip: Container[int] = ()) -> Tuple[List[int], FrozenSet[int]]:
+    """``nullspace`` and ``top_bits`` of the same columns from one pass:
+    its rows are keyed by their top bits, which are those of the span."""
+    rows, kernel = _tracked(columns, skip)
+    return kernel, frozenset(rows)
+
+
 def rank(rows: Sequence[int]) -> int:
     return len(top_bits(rows))
 

@@ -5,7 +5,9 @@ text or json-lines (stable key order, so identical seeds and inputs give
 byte-identical output).  Every result carries the content hash of the
 complex it was computed from.  Exit codes: 0 success, 1 usage or parse
 error, 2 mathematical failure (an identity suite or a verification
-reported violations).
+reported violations).  Each command imports the modules it computes with,
+so ``info`` and ``cohomology`` never load ``quadratic``, ``ggroups`` or
+``identities``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from . import identities
 from .cochains import solver as cohomology_solver
 from .complexes import ComplexPair, ManifoldPair
 from .errors import SIZE_BUDGET, ParseError, PinquadError
@@ -25,17 +26,6 @@ from .fixtures import (
     fixture_text,
     raw_annulus_pair,
     raw_mobius_pair,
-)
-from .ggroups import g_pin, g_pin_bruteforce
-from .quadratic import (
-    act,
-    boundary_quadratic,
-    brown_gauss,
-    enumerate_quadratics,
-    eval_quadratic,
-    make_quadratic,
-    negate,
-    verify_axioms,
 )
 from .textio import content_hash, format_cochain, manifold_from_text, parse_cochain
 
@@ -84,9 +74,6 @@ class _Out:
 def _cmd_info(args) -> int:
     m, h = _load_manifold(args)
     out = _Out(args.format)
-    from .complexes import diagnose_manifold
-
-    diag = diagnose_manifold(m.complex, m.n)
     record = {
         "hash": h,
         "f_vector": list(m.complex.f_vector()),
@@ -94,8 +81,8 @@ def _cmd_info(args) -> int:
         "closed": m.closed,
         "orientable": m.orientable,
         "euler": m.complex.euler(),
-        "boundary_full": diag.boundary_full,
-        "ordering_ok": diag.ordering_ok,
+        "boundary_full": m.boundary_full,
+        "ordering_ok": m.ordering_ok,
     }
     status = "closed" if m.closed else "with boundary"
     text = (
@@ -133,6 +120,17 @@ def _parse_values(text: str) -> List[int]:
 
 
 def _cmd_quad(args) -> int:
+    from .quadratic import (
+        act,
+        boundary_quadratic,
+        brown_gauss,
+        enumerate_quadratics,
+        eval_quadratic,
+        make_quadratic,
+        negate,
+        verify_axioms,
+    )
+
     m, h = _load_manifold(args)
     out = _Out(args.format)
     mode = args.mode
@@ -202,6 +200,8 @@ def _cmd_quad(args) -> int:
 
 
 def _cmd_ggroup(args) -> int:
+    from .ggroups import g_pin, g_pin_bruteforce
+
     pair, n, label, h = _ggroup_pair(args)
     if args.n is not None:
         n = args.n
@@ -225,6 +225,8 @@ def _cmd_ggroup(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from . import identities
+
     out = _Out(args.format)
     names = args.suites.split(",") if args.suites else None
     reports = identities.run_suites(

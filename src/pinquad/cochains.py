@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ._gf2 import combine, low_bit, nullspace, representatives, top_bits
+from ._gf2 import combine, low_bit, nullspace_and_top_bits, representatives, top_bits
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached, cofaces
 from .errors import (
     ComplexMismatch,
@@ -427,9 +427,10 @@ class CohomologySolver:
 
     Columns are ordered by the canonical (sorted) simplex enumeration.  The
     cocycles are the kernel of d_k, from the highest-bit pass of
-    ``_gf2.nullspace``; the pivot rule does not move a kernel tracker.  The
-    representatives and the decompositions read the lowest-bit boundary
-    echelon of d_{k-1} (``_gf2.representatives``), which fixes the bases.
+    ``_gf2.nullspace_and_top_bits``; the pivot rule does not move a kernel
+    tracker.  The representatives and the decompositions read the
+    lowest-bit boundary echelon of d_{k-1} (``_gf2.representatives``),
+    which fixes the bases.
     Two clearings (``_gf2``) skip the columns at the top bits of an image:
     those of d_k at the top bits of im d_{k-1}, so the kernel holds only the
     dim H^k cocycles that survive modulo the boundaries, and those of
@@ -440,7 +441,8 @@ class CohomologySolver:
     unskipped elimination, and reproducible.  The top bits of im d_k are
     found once per pair with the columns at those of im d_{k-1} skipped,
     so a lone solver builds the chain below it and consecutive degrees
-    share it.
+    share it.  The kernel pass of d_k is that same pass, so the solver
+    stores its top bits as ``_tops(pair, k)`` for the solver above.
     """
 
     def __init__(self, pair: ComplexPair, degree: int) -> None:
@@ -450,7 +452,9 @@ class CohomologySolver:
 
         below = coboundary_bits(pair, degree - 1)
         self._shift = len(below)
-        cocycles = nullspace(coboundary_bits(pair, degree), _tops(pair, degree - 1))
+        cocycles, tops = nullspace_and_top_bits(
+            coboundary_bits(pair, degree), _tops(pair, degree - 1))
+        pair.cache.setdefault(("tops", degree), tops)
         self._ech, self._rep_bits = representatives(
             below, cocycles, self._shift, _tops(pair, degree - 2))
         self.basis: Tuple[Cochain, ...] = tuple(

@@ -4,6 +4,35 @@ Vertices are nonnegative ints.  A complex carries an integer rank per
 vertex; inside every simplex the ranks are strictly increasing, and simplex
 tuples are always stored in rank order.  Only the relative order within
 simplices ever matters.
+
+Two constructors each.  ``OrderedComplex(...)`` and ``SimplicialMap(...)``
+take input from outside the engine (parsed files, tests, the covers of
+``quadratic``): the complex is stored canonically, then checked for
+dimensions, strict rank order and closure under faces; the map for weak
+order preservation and simplex images.  ``OrderedComplex._of(...)`` and
+``SimplicialMap._of(...)`` check nothing.  They serve the producers whose
+output is valid by construction:
+
+- ``build_complex``: its own repeat and tie checks on the given simplices
+  order each strictly by rank, and ``face_closure`` closes them;
+- ``barycentric_subdivide``: the simplices are the chains of faces, listed
+  below each top face, so closed, and ranked by dimension, so strictly
+  increasing; along a chain the faces grow, so their maximum vertices
+  rise weakly in rank, and ``to_base`` sends the chain onto a face of its
+  top face;
+- ``cone`` and ``suspension``: the base simplices and their joins with a
+  new vertex ranked after (or before) every other, closed since the base is;
+- ``cylinder``: its complex comes from ``build_complex``, each end maps a
+  simplex onto a face of its prism at that level, and the projection maps
+  a prism onto its simplex with each rank kept;
+- ``disjoint_union``: two closed complexes on disjoint vertices, their
+  ranks kept, and the two inclusions;
+- ``identity_map``, and ``ComplexPair.sub_complex``, whose sub was checked
+  face-closed in the ambient when the pair was built.
+
+``_of`` takes ``simplices_by_dim`` in the canonical form that the checking
+path stores (``_by_dim``), so both give equal complexes.  Re-checking the
+output of subdivision once cost about as much as subdividing.
 """
 
 from __future__ import annotations
@@ -24,6 +53,15 @@ from .errors import (
 Simplex = Tuple[int, ...]
 
 
+def _by_dim(simplices: Iterable[Simplex]) -> Dict[int, Tuple[Simplex, ...]]:
+    """Distinct simplices filed by dimension, each dimension sorted: the
+    canonical form in which a complex stores them."""
+    by_dim: Dict[int, List[Simplex]] = {}
+    for s in simplices:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    return {k: tuple(sorted(by_dim[k])) for k in sorted(by_dim)}
+
+
 class OrderedComplex:
     """Vertex-ordered simplicial complex, closed under faces."""
 
@@ -32,16 +70,29 @@ class OrderedComplex:
         simplices_by_dim: Mapping[int, Sequence[Simplex]],
         rank: Mapping[int, int],
     ) -> None:
-        self.rank: Dict[int, int] = dict(rank)
-        self.simplices_by_dim: Dict[int, Tuple[Simplex, ...]] = {
+        self._store({
             k: tuple(sorted(set(map(tuple, sims))))
-            for k, sims in simplices_by_dim.items()
+            for k, sims in sorted(simplices_by_dim.items())
             if sims
-        }
-        self._simplex_set = frozenset(
-            s for sims in self.simplices_by_dim.values() for s in sims
-        )
+        }, dict(rank))
         self._check()
+
+    @classmethod
+    def _of(cls, simplices_by_dim: Dict[int, Tuple[Simplex, ...]],
+            rank: Dict[int, int]) -> "OrderedComplex":
+        """Unchecked: simplices canonical (``_by_dim``), closed under faces,
+        each in strictly increasing rank."""
+        x = object.__new__(cls)
+        x._store(simplices_by_dim, rank)
+        return x
+
+    def _store(self, simplices_by_dim: Dict[int, Tuple[Simplex, ...]],
+               rank: Dict[int, int]) -> None:
+        self.rank = rank
+        self.simplices_by_dim = simplices_by_dim
+        self._simplex_set = frozenset(
+            s for sims in simplices_by_dim.values() for s in sims
+        )
         self.cache: Dict[object, object] = {}
 
     def _check(self) -> None:
@@ -123,10 +174,8 @@ def build_complex(
         if any(a == b for a, b in zip(ranks, ranks[1:])):
             raise TieInSimplex(f"ranks tie in simplex {s}")
         sorted_maximal.append(t)
-    by_dim: Dict[int, List[Simplex]] = {}
-    for face in face_closure(sorted_maximal):
-        by_dim.setdefault(len(face) - 1, []).append(face)
-    return OrderedComplex(by_dim, {v: rank[v] for v in verts})
+    return OrderedComplex._of(_by_dim(face_closure(sorted_maximal)),
+                              {v: rank[v] for v in verts})
 
 
 class SimplicialMap:
@@ -142,6 +191,14 @@ class SimplicialMap:
         self.target = target
         self.vertex_map = dict(vertex_map)
         self._check()
+
+    @classmethod
+    def _of(cls, source: OrderedComplex, target: OrderedComplex,
+            vertex_map: Dict[int, int]) -> "SimplicialMap":
+        """Unchecked: weakly order preserving, each image a target simplex."""
+        f = object.__new__(cls)
+        f.source, f.target, f.vertex_map = source, target, vertex_map
+        return f
 
     def _check(self) -> None:
         rank_t = self.target.rank
@@ -173,7 +230,7 @@ class SimplicialMap:
 
 
 def identity_map(x: OrderedComplex) -> SimplicialMap:
-    return SimplicialMap(x, x, {v: v for v in x.vertices})
+    return SimplicialMap._of(x, x, {v: v for v in x.vertices})
 
 
 class ComplexPair:
@@ -200,11 +257,8 @@ class ComplexPair:
             s for s in self.ambient.simplices(k) if s not in self.sub))
 
     def sub_complex(self) -> OrderedComplex:
-        by_dim: Dict[int, List[Simplex]] = {}
-        for s in self.sub:
-            by_dim.setdefault(len(s) - 1, []).append(s)
         rank = {v: self.ambient.rank[v] for v in self.sub_vertices}
-        return OrderedComplex(by_dim, rank)
+        return OrderedComplex._of(_by_dim(self.sub), rank)
 
     def __repr__(self) -> str:
         return f"ComplexPair(ambient={self.ambient!r}, |sub|={len(self.sub)})"
@@ -460,22 +514,23 @@ def barycentric_subdivide(x: OrderedComplex) -> Subdivision:
     """First barycentric subdivision with the canonical dimension ranks.
 
     New vertices are the simplices of x, ranked by dimension; simplices are
-    flags of faces.  The returned map sends each barycenter to the maximum
+    chains of faces.  The returned map sends each barycenter to the maximum
     vertex of its underlying simplex.
     """
     cells = sorted(x.all_simplices(), key=lambda s: (len(s), s))
     vertex_of = {s: j for j, s in enumerate(cells)}
     simplex_of = {j: s for s, j in vertex_of.items()}
     rank = {j: len(simplex_of[j]) - 1 for j in simplex_of}
-    maximal = []
-    for s in maximal_simplices(x):
-        for perm in itertools.permutations(s):
-            flag = []
-            for r in range(1, len(perm) + 1):
-                flag.append(vertex_of[tuple(sorted(perm[:r]))])
-            maximal.append(tuple(flag))
-    sd = build_complex(maximal, rank)
-    b = SimplicialMap(sd, x, {j: simplex_of[j][-1] for j in simplex_of})
+    # the chains whose top face is s, listed after those of every proper face
+    chains: Dict[Simplex, List[Simplex]] = {}
+    for s in cells:
+        top = (vertex_of[s],)
+        chains[s] = [top] + [c + top for r in range(1, len(s))
+                             for face in itertools.combinations(s, r)
+                             for c in chains[face]]
+    sd = OrderedComplex._of(
+        _by_dim(itertools.chain.from_iterable(chains.values())), rank)
+    b = SimplicialMap._of(sd, x, {j: simplex_of[j][-1] for j in simplex_of})
     return Subdivision(sd, b, vertex_of, simplex_of)
 
 
@@ -495,11 +550,10 @@ def cone(x: OrderedComplex) -> Cone:
     apex = max(x.vertices) + 1
     rank = dict(x.rank)
     rank[apex] = max(rank.values()) + 1
-    by_dim: Dict[int, List[Simplex]] = {0: [(apex,)]}
+    simplices = [(apex,)]
     for s in x.all_simplices():
-        by_dim.setdefault(len(s) - 1, []).append(s)
-        by_dim.setdefault(len(s), []).append(s + (apex,))
-    cx = OrderedComplex(by_dim, rank)
+        simplices += (s, s + (apex,))
+    cx = OrderedComplex._of(_by_dim(simplices), rank)
     return Cone(ComplexPair(cx, x.all_simplices()), apex, x)
 
 
@@ -518,12 +572,10 @@ def suspension(x: OrderedComplex) -> SuspensionComplex:
     rank = dict(x.rank)
     rank[lower] = min(x.rank.values()) - 1
     rank[upper] = max(x.rank.values()) + 1
-    by_dim: Dict[int, List[Simplex]] = {0: [(lower,), (upper,)]}
+    simplices = [(lower,), (upper,)]
     for s in x.all_simplices():
-        by_dim.setdefault(len(s) - 1, []).append(s)
-        by_dim.setdefault(len(s), []).append(s + (upper,))
-        by_dim.setdefault(len(s), []).append((lower,) + s)
-    sx = OrderedComplex(by_dim, rank)
+        simplices += (s, s + (upper,), (lower,) + s)
+    sx = OrderedComplex._of(_by_dim(simplices), rank)
     return SuspensionComplex(sx, x, upper, lower)
 
 
@@ -567,11 +619,11 @@ def cylinder(x: OrderedComplex) -> Cylinder:
             )
             maximal.append(prism)
     cx = build_complex(maximal, rank)
-    end0 = SimplicialMap(x, cx, {v: at(0, v) for v in verts})
-    end1 = SimplicialMap(x, cx, {v: at(1, v) for v in verts})
+    end0 = SimplicialMap._of(x, cx, {v: at(0, v) for v in verts})
+    end1 = SimplicialMap._of(x, cx, {v: at(1, v) for v in verts})
     proj_map = {at(0, v): v for v in verts}
     proj_map.update({at(1, v): v for v in verts})
-    projection = SimplicialMap(cx, x, proj_map)
+    projection = SimplicialMap._of(cx, x, proj_map)
     manifold = None
     try:
         base_m = validate_manifold(x, require_full=False, require_ordering=False)
@@ -613,14 +665,11 @@ def disjoint_union(
 ) -> Tuple[OrderedComplex, SimplicialMap, SimplicialMap]:
     offset = max(x.vertices) + 1
     rank = dict(x.rank)
-    by_dim: Dict[int, List[Simplex]] = {}
-    for s in x.all_simplices():
-        by_dim.setdefault(len(s) - 1, []).append(s)
     for v in y.vertices:
         rank[v + offset] = y.rank[v]
-    for s in y.all_simplices():
-        by_dim.setdefault(len(s) - 1, []).append(tuple(v + offset for v in s))
-    z = OrderedComplex(by_dim, rank)
-    ix = SimplicialMap(x, z, {v: v for v in x.vertices})
-    iy = SimplicialMap(y, z, {v: v + offset for v in y.vertices})
+    simplices = list(x.all_simplices())
+    simplices += (tuple(v + offset for v in s) for s in y.all_simplices())
+    z = OrderedComplex._of(_by_dim(simplices), rank)
+    ix = SimplicialMap._of(x, z, {v: v for v in x.vertices})
+    iy = SimplicialMap._of(y, z, {v: v + offset for v in y.vertices})
     return z, ix, iy

@@ -29,6 +29,7 @@ from pinquad.cochains import (
     zero_cochain,
 )
 from pinquad import errors
+from pinquad._gf2 import top_bits
 from pinquad.complexes import (
     ComplexPair,
     absolute_pair,
@@ -386,6 +387,32 @@ class TestEulerCharacteristic:
         pair = ComplexPair(shared.ambient, shared.sub)
         dims = [CohomologySolver(pair, k).dim for k in range(pair.ambient.dim + 1)]
         assert sum((-1) ** k * h for k, h in enumerate(dims)) == self.relative_euler(pair)
+
+
+class TestSolverTopBits:
+    """A solver's kernel pass of d_k stores the top bits of im d_k, which
+    must be the set that a separate ``top_bits`` pass over the same columns
+    and skip would give."""
+
+    @staticmethod
+    def top_bit_chain(pair):
+        chain, below = [], frozenset()
+        for k in range(pair.ambient.dim + 1):
+            below = top_bits(coboundary_bits(pair, k), below)
+            chain.append(below)
+        return chain
+
+    @pytest.mark.parametrize("name", ("sd:rp2", "sd:torus", "sd:mobius", "sd:sphere3"))
+    def test_stored_top_bits_match_a_fresh_pass(self, name):
+        shared = _euler_fixture(name)
+        expected = self.top_bit_chain(ComplexPair(shared.ambient, shared.sub))
+        ascending = ComplexPair(shared.ambient, shared.sub)
+        for k in range(shared.ambient.dim + 1):
+            CohomologySolver(ascending, k)
+            assert ascending.cache[("tops", k)] == expected[k]
+            lone = ComplexPair(shared.ambient, shared.sub)
+            CohomologySolver(lone, k)
+            assert lone.cache[("tops", k)] == expected[k]
 
 
 def face_scan_d(c):

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinquad import identities
 from pinquad.complexes import (
+    ComplexPair,
+    OrderedComplex,
+    SimplicialMap,
     absolute_pair,
     barycentric_subdivide,
     build_complex,
@@ -14,6 +18,9 @@ from pinquad.complexes import (
     cylinder,
     diagnose_manifold,
     disjoint_union,
+    face_closure,
+    identity_map,
+    maximal_simplices,
     suspension,
     validate_manifold,
 )
@@ -316,7 +323,9 @@ def small_complexes(draw):
 @given(small_complexes())
 def test_subdivision_is_well_formed(x):
     sd = barycentric_subdivide(x)
-    # construction validates face closure and strict ranks; check the map
+    # the trusted construction checks nothing: re-check both outputs
+    sd.complex._check()
+    sd.to_base._check()
     rank = x.rank
     for v, w in sd.to_base.vertex_map.items():
         assert w in rank
@@ -332,3 +341,93 @@ def test_suspension_cones_meet_in_base(x):
     sx = suspension(x)
     for s in sx.complex.all_simplices():
         assert not (sx.upper in s and sx.lower in s)
+
+
+# -- the producers that build through the trusted constructors ------------
+
+
+def _trusted_input(label):
+    """(complex, sub) for a catalog fixture, sd of one, or a random draw."""
+    kind, _, name = label.rpartition(":")
+    if kind == "random":
+        rng = random.Random(f"trusted:{name}")
+        x = identities.random_complex(rng)
+        tops = maximal_simplices(x)
+        return x, face_closure(rng.sample(tops, len(tops) // 2))
+    m = catalog(name)
+    if kind == "sd":
+        sd = barycentric_subdivide(m.complex).complex
+        m = validate_manifold(sd, m.n, require_full=False, require_ordering=False)
+    return m.complex, m.pair.sub
+
+
+TRUSTED_INPUTS = (CATALOG_NAMES + tuple("sd:" + name for name in CATALOG_NAMES)
+                  + tuple(f"random:{j}" for j in range(30)))
+
+# subdivision and the cylinder multiply the size by 5 to 40 or more; on the
+# three larger inputs (sd of sphere4, solid_torus and cp2, 4682 to 46560
+# simplices) they would take seconds and hundreds of MiB each
+GROWING_LIMIT = 2500
+
+
+class TestTrustedComplexProducers:
+    """Each producer that builds through ``_of`` gives output that passes
+    the checks it skips and equals the checking construction field for
+    field."""
+
+    @staticmethod
+    def assert_trusted_complex(x):
+        # the checking constructor runs x._check() on a copy of x's fields,
+        # so building it and finding it equal to x is passing x._check()
+        checked = OrderedComplex(x.simplices_by_dim, x.rank)
+        assert list(checked.simplices_by_dim.items()) == list(x.simplices_by_dim.items())
+        assert checked.rank == x.rank
+        assert checked._simplex_set == x._simplex_set
+
+    @staticmethod
+    def assert_trusted_map(f):
+        f._check()
+        assert set(f.vertex_map) == set(f.source.vertices)
+
+    @pytest.mark.parametrize("label", TRUSTED_INPUTS)
+    def test_producers(self, label):
+        x, sub = _trusted_input(label)
+        small = sum(x.f_vector()) <= GROWING_LIMIT
+        rebuilt = build_complex(maximal_simplices(x), x.rank)
+        self.assert_trusted_complex(rebuilt)
+        assert rebuilt.simplices_by_dim == x.simplices_by_dim and rebuilt.rank == x.rank
+        if small:
+            sd = barycentric_subdivide(x)
+            self.assert_trusted_complex(sd.complex)
+            self.assert_trusted_map(sd.to_base)
+            cyl = cylinder(x)
+            self.assert_trusted_complex(cyl.complex)
+            for f in (cyl.end0, cyl.end1, cyl.projection):
+                self.assert_trusted_map(f)
+        c = cone(x)
+        self.assert_trusted_complex(c.complex)
+        assert c.pair.sub_complex().simplices_by_dim == x.simplices_by_dim
+        self.assert_trusted_complex(suspension(x).complex)
+        z, ix, iy = disjoint_union(x, x)
+        self.assert_trusted_complex(z)
+        self.assert_trusted_map(ix)
+        self.assert_trusted_map(iy)
+        self.assert_trusted_map(identity_map(x))
+        self.assert_trusted_complex(ComplexPair(x, sub).sub_complex())
+
+    def test_a_missing_face_fails_the_check(self):
+        x = OrderedComplex._of({0: ((0,), (1,)), 1: ((0, 1), (0, 2))}, {0: 0, 1: 1, 2: 2})
+        with pytest.raises(ValueError, match="missing"):
+            x._check()
+        with pytest.raises(ValueError):
+            OrderedComplex(x.simplices_by_dim, x.rank)
+
+    def test_a_rank_tie_fails_the_check(self):
+        x = OrderedComplex._of({0: ((0,), (1,)), 1: ((0, 1),)}, {0: 0, 1: 0})
+        with pytest.raises(TieInSimplex):
+            x._check()
+
+    def test_an_order_reversing_map_fails_the_check(self):
+        x = build_complex([(0, 1)])
+        with pytest.raises(ValueError, match="order"):
+            SimplicialMap._of(x, x, {0: 1, 1: 0})._check()

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from pinquad.cli import main
 from pinquad.cochains import Cochain, INT, QMODZ, Z2, Z4
-from pinquad.complexes import build_complex, face_closure
+from pinquad.complexes import build_complex, diagnose_manifold, face_closure
 from pinquad.errors import NotPseudoManifold, ParseError, PinquadError
-from pinquad.fixtures import catalog, fixture_text
+from pinquad.fixtures import CATALOG_NAMES, catalog, fixture_text, raw_mobius_pair
 from pinquad.identities import random_complex
 from pinquad.textio import (
     complex_from_text,
@@ -382,3 +382,46 @@ def test_an_operator_past_the_byte_budget_is_exit_2(tmp_path, capsys, monkeypatc
     assert main(["cohomology", "--complex", str(path), "-k", "1"]) == 2
     err = capsys.readouterr().err
     assert err == "error: BudgetExceeded: 1386 bytes of d_1 exceed the budget 1000\n"
+
+
+class TestInfoFlags:
+    """``info`` reads boundary_full and ordering_ok off the loaded manifold;
+    they must be what diagnose_manifold finds on the same complex."""
+
+    @staticmethod
+    def info_record(argv, capsys):
+        assert main(["info", "--format", "jsonl"] + argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_fixture(self, name, capsys):
+        record = self.info_record(["--fixture", name], capsys)
+        diag = diagnose_manifold(catalog(name).complex)
+        assert (record["boundary_full"], record["ordering_ok"]) == (
+            diag.boundary_full, diag.ordering_ok)
+
+    @pytest.mark.parametrize("text, flags", [
+        (format_complex(raw_mobius_pair().ambient), (False, True)),
+        # a disk: (1, 3) joins two boundary vertices through the interior,
+        # and the interior vertex 0 is ranked first
+        ("dim 2\nsimplex 1 2 3\nsimplex 0 1 3\nsimplex 0 3 4\n"
+         "simplex 0 4 5\nsimplex 0 1 5\n", (False, False)),
+    ], ids=["raw_mobius", "disk_neither_full_nor_ordered"])
+    def test_complex_file(self, text, flags, tmp_path, capsys):
+        path = tmp_path / "x.cpx"
+        path.write_text(text)
+        record = self.info_record(["--complex", str(path)], capsys)
+        diag = diagnose_manifold(manifold_from_text(
+            text, require_full=False, require_ordering=False).complex)
+        assert (diag.boundary_full, diag.ordering_ok) == flags
+        assert (record["boundary_full"], record["ordering_ok"]) == flags
+
+
+def test_cli_import_leaves_the_heavy_modules_unloaded():
+    # info and cohomology never need them; each command imports its own
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import pinquad.cli"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "pinquad.cli" in proc.stderr
+    for name in ("pinquad.ggroups", "pinquad.quadratic", "pinquad.identities"):
+        assert name not in proc.stderr
