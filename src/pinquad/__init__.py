@@ -22,8 +22,8 @@ _EXPORTS = {
     "complexes": (
         "ComplexPair", "ManifoldPair", "OrderedComplex", "SimplicialMap",
         "absolute_pair", "barycentric_subdivide", "build_complex",
-        "collapse_map", "cone", "cylinder", "diagnose_manifold",
-        "disjoint_union", "identity_map", "validate_manifold",
+        "collapse_map", "cone", "cylinder", "disjoint_union",
+        "identity_map", "validate_manifold",
     ),
     "fixtures": ("CATALOG_NAMES", "catalog", "raw_annulus_pair", "raw_mobius_pair"),
     "ggroups": (

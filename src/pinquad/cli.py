@@ -3,8 +3,8 @@
 Subcommands: info, cohomology, quad, ggroup, identities.  Output is plain
 text or json-lines (stable key order, so identical seeds and inputs give
 byte-identical output).  Every result carries the content hash of the
-complex it was computed from.  Exit codes: 0 success, 1 usage or parse
-error, 2 mathematical failure (an identity suite or a verification
+complex it was computed from.  Exit codes: 0 success, 1 usage, parse or
+file error, 2 mathematical failure (an identity suite or a verification
 reported violations).  Each command imports the modules it computes with,
 so ``info`` and ``cohomology`` never load ``quadratic``, ``ggroups`` or
 ``identities``.
@@ -318,7 +318,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError) as e:
+    except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PinquadError as e:

@@ -315,15 +315,6 @@ def maximal_simplices(x: OrderedComplex) -> List[Simplex]:
 # -- manifolds -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManifoldDiagnosis:
-    pseudo_manifold: bool
-    boundary_full: bool
-    ordering_ok: bool
-    orientable: bool
-    problems: Tuple[str, ...]
-
-
 class ManifoldPair:
     """A pseudo-manifold with boundary subcomplex and optional orientation."""
 
@@ -399,7 +390,7 @@ def _orient(x: OrderedComplex, n: int,
 
 
 def validate_manifold(
-    x,
+    x: OrderedComplex,
     n: Optional[int] = None,
     *,
     boundary="auto",
@@ -409,18 +400,21 @@ def validate_manifold(
 ) -> ManifoldPair:
     """Check the manifold-pair conditions and assemble a ManifoldPair.
 
-    Raises NotPseudoManifold for structural failures.  Fullness and the
-    boundary-vertices-first rank condition raise NeedsSubdivision (one
-    barycentric subdivision always repairs both) unless the corresponding
-    require_* flag is off, in which case the defect is recorded on the
-    result.  An explicit orientation must sign exactly the top simplices,
-    each +1 or -1, with the signs cancelling on every interior face.
+    Every ManifoldPair of the package, and its flags, comes from here; the
+    constructions only construct.  Raises NotPseudoManifold for structural
+    failures.  Fullness and the boundary-vertices-first rank condition raise
+    NeedsSubdivision (one barycentric subdivision always repairs both)
+    unless the corresponding require_* flag is off, in which case the defect
+    is recorded on the result.  Fullness is scanned over every simplex: a
+    lone triangle, all of whose edges are boundary, fails it only in
+    dimension 2.  Ordering is scanned over the edges alone: a simplex lists
+    a boundary vertex after an interior one exactly when some edge of it
+    runs from an interior vertex to a boundary vertex, and the edges come
+    first among the simplices, so the first violating edge is also the first
+    violating simplex.  An explicit orientation must sign exactly the top
+    simplices, each +1 or -1, with the signs cancelling on every interior
+    face.
     """
-    if isinstance(x, ComplexPair):
-        given_sub = x.sub
-        x = x.ambient
-        if boundary == "auto":
-            boundary = given_sub
     if n is None:
         n = x.dim
     if x.dim != n:
@@ -445,35 +439,18 @@ def validate_manifold(
             raise NotPseudoManifold("declared boundary differs from the computed one")
     pair = ComplexPair(x, sub)
 
-    problems: List[str] = []
-    boundary_full = True
-    for s in x.all_simplices():
-        if s not in pair.sub and all(v in pair.sub_vertices for v in s):
-            boundary_full = False
-            problems.append(f"boundary not full at {s}")
-            break
-    ordering_ok = True
-    for s in x.all_simplices():
-        seen_interior = False
-        for v in s:
-            if v in pair.sub_vertices:
-                if seen_interior:
-                    ordering_ok = False
-                    problems.append(f"boundary vertex after interior vertex in {s}")
-                    break
-            else:
-                seen_interior = True
-        if not ordering_ok:
-            break
-    if require_full and not boundary_full:
-        raise NeedsSubdivision([p for p in problems if "full" in p])
-    if require_ordering and not ordering_ok:
-        raise NeedsSubdivision([p for p in problems if "ordering" in p or "vertex" in p])
+    on_boundary = pair.sub_vertices
+    not_full = next((s for s in x.all_simplices()
+                     if s not in sub and all(v in on_boundary for v in s)), None)
+    misordered = next((e for e in x.simplices(1)
+                       if e[0] not in on_boundary and e[1] in on_boundary), None)
+    if require_full and not_full is not None:
+        raise NeedsSubdivision([f"boundary not full at {not_full}"])
+    if require_ordering and misordered is not None:
+        raise NeedsSubdivision([f"boundary vertex after interior vertex in {misordered}"])
 
     if orientation == "auto":
         orient = _orient(x, n, interior)
-    elif orientation is None:
-        orient = None
     else:
         orient = dict(orientation)
         if (set(orient) != set(x.simplices(n))
@@ -482,21 +459,7 @@ def validate_manifold(
         for face, a, b, rel in interior:
             if orient[b] != rel * orient[a]:
                 raise NotPseudoManifold(f"orientation signs do not cancel at {face}")
-    return ManifoldPair(pair, n, orient, boundary_full, ordering_ok)
-
-
-def diagnose_manifold(x, n: Optional[int] = None) -> ManifoldDiagnosis:
-    try:
-        m = validate_manifold(x, n, require_full=False, require_ordering=False)
-    except NotPseudoManifold as e:
-        return ManifoldDiagnosis(False, False, False, False, (str(e),))
-    problems = []
-    if not m.boundary_full:
-        problems.append("boundary not full")
-    if not m.ordering_ok:
-        problems.append("boundary-vertices-first ordering fails")
-    return ManifoldDiagnosis(True, m.boundary_full, m.ordering_ok,
-                             m.orientable, tuple(problems))
+    return ManifoldPair(pair, n, orient, not_full is None, misordered is None)
 
 
 # -- constructions -------------------------------------------------------
@@ -586,17 +549,13 @@ class Cylinder:
     end0: SimplicialMap
     end1: SimplicialMap
     projection: SimplicialMap
-    manifold: Optional[ManifoldPair]
 
 
 def cylinder(x: OrderedComplex) -> Cylinder:
     """Prism triangulation of I x X, level 0 ranked before level 1.
 
     Each k-simplex (v0..vk) contributes the k+1 simplices
-    ((0,v0)..(0,vi),(1,vi)..(1,vk)).  When x is a closed pseudo-manifold the
-    result is validated as a ManifoldPair (its boundary, the two ends, is
-    not a full subcomplex; quadratic-function operations on cylinders use
-    the extension-by-zero form of the boundary transfer).
+    ((0,v0)..(0,vi),(1,vi)..(1,vk)).
     """
     verts = sorted(x.vertices)
     vid = {v: j for j, v in enumerate(verts)}
@@ -624,16 +583,7 @@ def cylinder(x: OrderedComplex) -> Cylinder:
     proj_map = {at(0, v): v for v in verts}
     proj_map.update({at(1, v): v for v in verts})
     projection = SimplicialMap._of(cx, x, proj_map)
-    manifold = None
-    try:
-        base_m = validate_manifold(x, require_full=False, require_ordering=False)
-        if base_m.closed:
-            manifold = validate_manifold(
-                cx, x.dim + 1, require_full=False, require_ordering=False
-            )
-    except NotPseudoManifold:
-        manifold = None
-    return Cylinder(cx, x, end0, end1, projection, manifold)
+    return Cylinder(cx, x, end0, end1, projection)
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,8 @@ def raw_mobius_pair() -> ComplexPair:
 def raw_annulus_pair() -> ComplexPair:
     """The unsubdivided prism annulus I x S1 with its two boundary circles."""
     cyl = cylinder(circle_complex())
-    return cyl.manifold.pair
+    m = validate_manifold(cyl.complex, 2, require_full=False, require_ordering=False)
+    return m.pair
 
 
 def _build(name: str) -> ManifoldPair:

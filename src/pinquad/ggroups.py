@@ -7,10 +7,12 @@ Elements are pairs (w, p) of relative cochains with dp = 0 and dw = Sq^2 p
 
 modulo the subgroup {(df + Sq^2 c, dc)}.  The closed-form engine reads the
 abelian quotient off the short exact sequence ends QH^n and SH^{n-1} and
-the rank of phi: [p] -> [Sq^1 p].  The brute-force oracle uses no part of
-that sequence: it enumerates the pairs with w stored modulo the central
-coboundaries (df, 0), in the normal form of the GF(2) layer, and merges
-the cosets of the (Sq^2 c, dc) generators with union-find.
+the rank of phi: [p] -> [Sq^1 p].  The brute-force oracle finds the group
+without that sequence: it enumerates the pairs with w stored modulo the
+central coboundaries (df, 0), in the normal form of the GF(2) layer, and
+merges the cosets of the (Sq^2 c, dc) generators with union-find.  Its
+summands and order come from the enumeration alone; the dims it reports
+are the sequence's, so they agree with the closed form by construction.
 """
 
 from __future__ import annotations

@@ -423,13 +423,13 @@ class CylinderExtension:
 
 
 def _cylinder_of(m: ManifoldPair) -> Tuple[Cylinder, ManifoldPair]:
+    """The prism I x M and its manifold pair (cached).  Its boundary, the two
+    ends, is not a full subcomplex, so the cylinder operations use the
+    extension-by-zero form of the boundary transfer."""
     def build():
         cyl = cylinder(m.complex)
-        cm = cyl.manifold
-        if cm is None:
-            cm = validate_manifold(cyl.complex, m.n + 1,
-                                   require_full=False, require_ordering=False)
-        return cyl, cm
+        return cyl, validate_manifold(cyl.complex, m.n + 1,
+                                      require_full=False, require_ordering=False)
 
     return cached(m, "cylinder", build)
 

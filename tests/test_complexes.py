@@ -16,7 +16,6 @@ from pinquad.complexes import (
     collapse_map,
     cone,
     cylinder,
-    diagnose_manifold,
     disjoint_union,
     face_closure,
     identity_map,
@@ -31,7 +30,13 @@ from pinquad.errors import (
     TieInSimplex,
     UnknownFixture,
 )
-from pinquad.fixtures import CATALOG_NAMES, catalog, circle_complex
+from pinquad.fixtures import (
+    CATALOG_NAMES,
+    catalog,
+    circle_complex,
+    raw_annulus_pair,
+    raw_mobius_pair,
+)
 
 
 def betti2(x, k, rel_pair=None):
@@ -135,8 +140,9 @@ class TestCylinder:
     def test_circle_gives_annulus(self):
         cyl = cylinder(circle_complex())
         assert cyl.complex.f_vector() == (6, 12, 6)
-        m = cyl.manifold
-        assert m is not None and not m.closed
+        m = validate_manifold(cyl.complex, 2, require_full=False,
+                              require_ordering=False)
+        assert not m.closed
         boundary_edges = [s for s in m.pair.sub if len(s) == 2]
         assert len(boundary_edges) == 6
 
@@ -167,8 +173,8 @@ class TestValidation:
         x = build_complex([(0, 1, 2, 3)])
         with pytest.raises(NeedsSubdivision):
             validate_manifold(x, 3)
-        diag = diagnose_manifold(x, 3)
-        assert diag.pseudo_manifold and not diag.boundary_full
+        m = validate_manifold(x, 3, require_full=False, require_ordering=False)
+        assert not m.boundary_full
         sd = barycentric_subdivide(x)
         m = validate_manifold(sd.complex, 3)
         assert m.boundary_full and m.ordering_ok
@@ -219,6 +225,69 @@ class TestValidation:
         with pytest.raises(NotPseudoManifold):
             validate_manifold(build_complex([(0, 1, 2)]), 2, orientation={},
                               require_full=False, require_ordering=False)
+
+
+def _first_violations(x, sub):
+    """The first simplex of x, scanning every simplex in order, that is not
+    full and the first that lists a boundary vertex after an interior one
+    (None when there is none)."""
+    on_boundary = {v for s in sub for v in s}
+    not_full = next((s for s in x.all_simplices()
+                     if s not in sub and set(s) <= on_boundary), None)
+    misordered = next((s for s in x.all_simplices()
+                       if any(s[j] in on_boundary and not set(s[:j]) <= on_boundary
+                              for j in range(len(s)))), None)
+    return not_full, misordered
+
+
+BOUNDED_SOURCES = tuple(name for name in CATALOG_NAMES if not catalog(name).closed) + (
+    "raw_mobius", "raw_annulus")
+
+
+class TestValidationScans:
+    """The fullness and ordering flags, and the reasons of NeedsSubdivision,
+    agree with a scan of every simplex under random rank relabellings of the
+    bounded complexes."""
+
+    DRAWS = 20
+
+    @staticmethod
+    def source(label):
+        if label == "raw_mobius":
+            pair = raw_mobius_pair()
+        elif label == "raw_annulus":
+            pair = raw_annulus_pair()
+        else:
+            pair = catalog(label).pair
+        x = pair.ambient
+        return x.simplices(x.dim), x.dim
+
+    @pytest.mark.parametrize("label", BOUNDED_SOURCES)
+    def test_relabelled(self, label):
+        tops, n = self.source(label)
+        verts = sorted({v for s in tops for v in s})
+        rng = random.Random(f"scans:{label}")
+        misordered_draws = 0
+        for _ in range(self.DRAWS):
+            ranks = rng.sample(range(len(verts)), len(verts))
+            x = build_complex(tops, dict(zip(verts, ranks)))
+            m = validate_manifold(x, n, require_full=False, require_ordering=False)
+            not_full, misordered = _first_violations(x, m.pair.sub)
+            assert (m.boundary_full, m.ordering_ok) == (not_full is None, misordered is None)
+            misordered_draws += misordered is not None
+            for full, bad, reason in (
+                    (True, not_full, f"boundary not full at {not_full}"),
+                    (False, misordered, f"boundary vertex after interior vertex in {misordered}")):
+                if bad is None:
+                    validate_manifold(x, n, require_full=full, require_ordering=not full)
+                    continue
+                with pytest.raises(NeedsSubdivision) as info:
+                    validate_manifold(x, n, require_full=full, require_ordering=not full)
+                assert info.value.reasons == (reason,)
+        # control: a check that never meets a misordered complex cannot fail;
+        # only the raw strips, all of whose vertices are on the boundary, have
+        # no ordering to get wrong
+        assert misordered_draws > 0 or m.pair.sub_vertices == set(verts)
 
 
 class TestCollapse:
