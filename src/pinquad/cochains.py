@@ -471,6 +471,14 @@ class CohomologySolver:
 
         Raises NotACocycle / NotRelative when p fails the preconditions.
         """
+        coords, pre, _ = self._decompose_bits(p)
+        a = tuple((coords >> j) & 1 for j in range(self.dim))
+        return a, from_bits(self.pair, self.degree - 1, pre)
+
+    def _decompose_bits(self, p: Cochain) -> Tuple[int, int, int]:
+        """``decompose`` as bits: (a, c, dc), with a over the basis, c over
+        the relative (k-1)-simplices and dc over the relative k-simplices.
+        dc is the one the identity check computes anyway."""
         if p.complex is not self.pair.ambient:
             raise ComplexMismatch("cocycle lives on a different complex")
         if p.degree != self.degree:
@@ -485,10 +493,12 @@ class CohomologySolver:
         dpre = combine(coboundary_bits(self.pair, self.degree - 1), pre)
         if combine(self._rep_bits, coords) ^ dpre != bits:
             raise InvariantViolation("decomposition identity failed")
-        a = tuple((coords >> j) & 1 for j in range(self.dim))
-        return a, from_bits(self.pair, self.degree - 1, pre)
+        return coords, pre, dpre
 
     def reconstruct(self, coords: Sequence[int]) -> Cochain:
+        """sum a_j p_j for one coordinate a_j per basis class."""
+        if len(coords) != self.dim:
+            raise ValueError("one coordinate per basis class")
         bits = sum((a % 2) << j for j, a in enumerate(coords))
         return from_bits(self.pair, self.degree, combine(self._rep_bits, bits))
 

@@ -11,6 +11,17 @@ left-to-right over the support, then absorb the coboundary with the second
 law.  Well-definedness (certificate and fold-order independence) needs the
 degree-2 Wu class of M to vanish, which construction enforces.
 
+Evaluation runs on bits.  ``CohomologySolver._decompose_bits`` returns the
+coordinates a, the certificate c and its coboundary dc, which the
+solver's identity check computes anyway.  The correction term
+int x u_{n-2} dc is linear in x = sum a_j p_j, so it is read off the cup
+rows: row j holds the relative (n-1)-simplices e with int p_j u_{n-2} e*
+= 1, built in one pass over the top simplices the first time a manifold
+evaluates.  Only the terms quadratic in c, nonzero from dimension 3 on,
+build cochains and cup products.  ``verify_axioms`` checks the laws with
+``cup_i`` and ``sq`` on the right-hand sides, so it does not share the
+rows it would have to catch.
+
 Q moves between manifolds through three primitives.  ``_restrict(q,
 target, transfer)`` reads Q off the basis of target through a cochain
 transfer; pushforward, the boundary, codimension-0 restriction and the
@@ -25,13 +36,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from . import _gf2
 from .cochains import (
     Cochain,
     CohomologySolver,
     Z2,
+    _cut_patterns,
     coboundary_bits,
     cup_i,
     d,
@@ -183,30 +195,77 @@ def enumerate_quadratics(m: ManifoldPair, mode: str = PIN) -> List[QuadraticFunc
     return out
 
 
-def _fold(ctx: _Context, coords: Sequence[int], values: Sequence[int],
-          cert: Optional[Cochain]) -> int:
-    m = ctx.manifold
-    n = m.n
+def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int) -> int:
+    """Q(x + dc) mod 4 for x = sum a_j p_j, from the bits of
+    ``CohomologySolver._decompose_bits``: a over the basis, c over the
+    relative (n-2)-simplices and dc over the relative (n-1)-simplices.
+
+    Q(x) folds the sum law over the support of a.  The coboundary adds
+    2 int (c u_{n-4} c + c u_{n-3} dc + x u_{n-2} dc), nothing when dc = 0.
+    The last term is linear in x, so it is read off the cup rows (``_cup_rows``)
+    as the parity of (sum a_j row_j) & dc; the two terms quadratic in c
+    are cup products, both zero below dimension 3.
+    """
     val = 0
-    support = [j for j, a in enumerate(coords) if a % 2]
+    support = [j for j in range(len(values)) if (coords >> j) & 1]
     for t, j in enumerate(support):
         val += values[j]
         for l in support[:t]:
             val += 2 * ctx.cross[l][j]
-    if cert is not None and not cert.is_zero():
-        dc = d(cert)
-        if not dc.is_zero():
-            x = ctx.solver.reconstruct(coords)
-            # Q(x + dc) = Q(x) + 2 int (c u_{n-4} c + c u_{n-3} dc + x u_{n-2} dc) mod 4
-            for a, b, i in ((cert, cert, n - 4), (cert, dc, n - 3), (x, dc, n - 2)):
+    if dpre:
+        val += 2 * bin(_gf2.combine(_cup_rows(ctx), coords) & dpre).count("1")
+        m = ctx.manifold
+        n = m.n
+        if n >= 3:
+            c = from_bits(m.pair, n - 2, pre)
+            dc = from_bits(m.pair, n - 1, dpre)
+            for a, b, i in ((c, c, n - 4), (c, dc, n - 3)):
                 val += 2 * integrate(m, cup_i(a, b, i))
     return val % 4
 
 
 def eval_quadratic(q: QuadraticFunction, p: Cochain) -> QuadValue:
     """Evaluate on a relative (n-1)-cocycle over Z2."""
-    coords, cert = q.solver.decompose(p)
-    return QuadValue(q.mode, _fold(q.ctx, coords, q.basis_values, cert))
+    coords, pre, dpre = q.solver._decompose_bits(p)
+    return QuadValue(q.mode, _fold(q.ctx, coords, q.basis_values, pre, dpre))
+
+
+def _cup_rows(ctx: _Context) -> List[int]:
+    """The cup rows of the context's basis, built once per manifold on the
+    first evaluation that needs them."""
+    m = ctx.manifold
+    return cached(m, "cup_rows", lambda: _cup_rows_of(m, ctx.solver.basis))
+
+
+def _cup_rows_of(m: ManifoldPair, basis: Sequence[Cochain]) -> List[int]:
+    """Row j has bit e set when int(p_j u_{n-2} e*) = 1, for every relative
+    (n-1)-simplex e in canonical order.
+
+    (p_j u_{n-2} e*)(s) = sum p_j(even(s)) e*(odd(s)) over the cut patterns
+    of u_{n-2}, so the integral sums p_j over the even faces of the top
+    simplices whose odd face is e.
+    """
+    n = m.n
+    back = {}
+    for j, p in enumerate(basis):
+        for s in p.values:
+            back[s] = back.get(s, 0) ^ (1 << j)
+    patterns = _cut_patterns(n - 1, n - 1, n - 2)
+    front = {}
+    for s in m.fundamental:
+        for even, odd, _ in patterns:
+            bits = back.get(even(s))
+            if bits:
+                e = odd(s)
+                front[e] = front.get(e, 0) ^ bits
+    rows = [0] * len(basis)
+    for k, e in enumerate(m.pair.relative_simplices(n - 1)):
+        bits = front.get(e, 0)
+        while bits:
+            j = _gf2.low_bit(bits)
+            bits &= bits - 1
+            rows[j] |= 1 << k
+    return rows
 
 
 def act(q: QuadraticFunction, a: Cochain) -> QuadraticFunction:
@@ -296,9 +355,9 @@ def quadratic_from_prescribed(
     rows = []  # row j of A as bits over l
     rhs = []
     for w, t in zip(cocycles, target_values):
-        coords, cert = ctx.solver.decompose(w)
-        rows.append(sum(a << l for l, a in enumerate(coords)))
-        rhs.append((t - _fold(ctx, coords, [0] * h, cert)) % 4)
+        coords, pre, dpre = ctx.solver._decompose_bits(w)
+        rows.append(coords)
+        rhs.append((t - _fold(ctx, coords, [0] * h, pre, dpre)) % 4)
     cols = [sum(((r >> l) & 1) << j for j, r in enumerate(rows)) for l in range(h)]
     if _gf2.rank(cols) < h:
         raise NotACocycle("prescribed cocycles do not span the cohomology")
@@ -467,8 +526,7 @@ def brown_gauss(q: QuadraticFunction):
     check_budget(h, "Gauss sum terms")
     re, im = 0, 0
     for bits in range(1 << h):
-        coords = [(bits >> j) & 1 for j in range(h)]
-        val = _fold(q.ctx, coords, q.basis_values, None)
+        val = _fold(q.ctx, bits, q.basis_values, 0, 0)
         if val == 0:
             re += 1
         elif val == 1:

@@ -277,6 +277,28 @@ class TestSolver:
             recomposed = solver.reconstruct(got) + d(cert)
             assert recomposed == p
 
+    def test_bits_match_the_cochains(self, torus, solid_torus):
+        rng = random.Random(12)
+        for m in (torus, solid_torus):
+            solver = CohomologySolver(m.pair, m.n - 1)
+            for _ in range(10):
+                coords = [rng.randint(0, 1) for _ in range(solver.dim)]
+                noise = {s: 1 for s in m.pair.relative_simplices(m.n - 2)
+                         if rng.random() < 0.5}
+                p = solver.reconstruct(coords) + d(Cochain(m.complex, m.n - 2, Z2, noise))
+                a, pre, dpre = solver._decompose_bits(p)
+                got, cert = solver.decompose(p)
+                assert [(a >> j) & 1 for j in range(solver.dim)] == list(got) == coords
+                assert pre == to_bits(m.pair, cert)
+                assert dpre == to_bits(m.pair, d(cert))
+
+    def test_reconstruct_needs_one_coordinate_per_class(self, rp2):
+        solver = CohomologySolver(rp2.pair, 1)
+        assert solver.dim == 1
+        for coords in ([1, 1], []):
+            with pytest.raises(ValueError, match="one coordinate per basis class"):
+                solver.reconstruct(coords)
+
     def test_not_a_cocycle(self, rp2):
         c = dual_cochain(rp2.complex, rp2.complex.simplices(1)[0])
         with pytest.raises(NotACocycle):

@@ -2,8 +2,10 @@
 
 The files under tests/golden/ pin bases, decomposition certificates,
 G^pin generators and v1 witnesses bit for bit, so a refactor of the GF(2)
-layer that changes a pivot choice or a column order shows up here.  To
-rewrite them after an intended change of output:
+layer that changes a pivot choice or a column order shows up here.  They
+also pin the values of quadratic functions on seeded cocycles and the basis
+values of their subdivision transfers, so a change to evaluation that moves
+a value shows up too.  To rewrite them after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import random
 
 import pytest
 
@@ -22,7 +25,16 @@ from pinquad.complexes import ComplexPair, barycentric_subdivide, validate_manif
 from pinquad.errors import PinquadError
 from pinquad.fixtures import CATALOG_NAMES, catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.ggroups import g_pin
-from pinquad.quadratic import v1_witness
+from pinquad.quadratic import (
+    PIN,
+    SPIN,
+    enumerate_quadratics,
+    eval_quadratic,
+    quad_context,
+    random_relative_cochain,
+    transfer_subdivision,
+    v1_witness,
+)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CLI_FIXTURES = ("rp2", "torus", "klein", "mobius", "annulus", "solid_torus")
@@ -114,6 +126,52 @@ def sd_solid_torus_digests():
     return "".join(f"{k} {solver_digest(pair, k)}\n" for k in (1, 2, 3))
 
 
+QUAD_VALUE_MANIFOLDS = ("rp2", "torus", "klein", "mobius", "annulus", "solid_torus",
+                        "sd(rp2)", "sd(mobius)")
+TRANSFER_SURFACES = ("rp2", "torus", "klein", "mobius")
+
+
+def _quad_manifold(name):
+    if name.startswith("sd("):
+        m = catalog(name[3:-1])
+        return validate_manifold(barycentric_subdivide(m.complex).complex, m.n)
+    return catalog(name)
+
+
+def _seeded_cocycles(m, count=20, seed=0):
+    """count relative (n-1)-cocycles: a seeded combination of the basis
+    plus the coboundary of a seeded random (n-2)-cochain."""
+    rng = random.Random(seed)
+    solver = quad_context(m).solver
+    out = []
+    for _ in range(count):
+        p = solver.reconstruct([rng.randint(0, 1) for _ in range(solver.dim)])
+        out.append(p + d(random_relative_cochain(rng, m, m.n - 2)))
+    return out
+
+
+def quad_values():
+    """One line per quadratic function: its values on the seeded cocycles
+    (every pin function, and every spin function of the torus), then one
+    line per pin function of each surface with the basis values of its
+    transfer to the barycentric subdivision."""
+    lines = []
+    for name in QUAD_VALUE_MANIFOLDS:
+        m = _quad_manifold(name)
+        cocycles = _seeded_cocycles(m)
+        for mode in (PIN, SPIN) if name == "torus" else (PIN,):
+            for q in enumerate_quadratics(m, mode):
+                lines.append({"name": name, "mode": mode,
+                              "basis_values": list(q.basis_values),
+                              "values": [eval_quadratic(q, p).z4 for p in cocycles]})
+    for name in TRANSFER_SURFACES:
+        for q in enumerate_quadratics(catalog(name), PIN):
+            lines.append({"name": name, "mode": PIN, "basis_values": list(q.basis_values),
+                          "sd_basis_values": list(transfer_subdivision(q).function.basis_values)})
+    return "".join(json.dumps(l, sort_keys=True, separators=(",", ":")) + "\n"
+                   for l in lines)
+
+
 def _read(fname):
     with open(os.path.join(GOLDEN, fname), encoding="utf-8") as f:
         return f.read()
@@ -135,6 +193,10 @@ def test_sd_solid_torus_solver_matches_golden_digest():
     assert sd_solid_torus_digests() == _read("sd_solid_torus_solver.sha256")
 
 
+def test_quad_values_match_golden():
+    assert quad_values() == _read("quad_values.jsonl")
+
+
 def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     for name in CLI_FIXTURES:
@@ -146,6 +208,8 @@ def regenerate():
     with open(os.path.join(GOLDEN, "sd_solid_torus_solver.sha256"), "w",
               encoding="utf-8") as f:
         f.write(sd_solid_torus_digests())
+    with open(os.path.join(GOLDEN, "quad_values.jsonl"), "w", encoding="utf-8") as f:
+        f.write(quad_values())
 
 
 if __name__ == "__main__":

@@ -7,15 +7,23 @@ from pinquad.cochains import (
     Cochain,
     CohomologySolver,
     Z2,
+    coboundary_bits,
     cup_i,
     d,
     dual_cochain,
     integrate,
     pullback,
     sq,
+    to_bits,
     zero_cochain,
 )
-from pinquad.complexes import SimplicialMap, build_complex, disjoint_union, validate_manifold
+from pinquad.complexes import (
+    SimplicialMap,
+    barycentric_subdivide,
+    build_complex,
+    disjoint_union,
+    validate_manifold,
+)
 from pinquad.errors import (
     BudgetExceeded,
     ComplexMismatch,
@@ -32,6 +40,7 @@ from pinquad.fixtures import CATALOG_NAMES, catalog
 from pinquad.quadratic import (
     PIN,
     SPIN,
+    _cup_rows,
     _pairing_rows,
     act,
     boundary_manifold,
@@ -611,14 +620,31 @@ class TestVerify:
         q = enumerate_quadratics(torus, PIN)[1]
         real_fold = qm._fold
 
-        def broken_fold(ctx, coords, values, cert):
-            val = sum(v for j, v in enumerate(values) if coords[j] % 2)
+        def broken_fold(ctx, coords, values, pre, dpre):
+            val = sum(v for j, v in enumerate(values) if (coords >> j) & 1)
             return val % 4  # drops every cross term and coboundary correction
 
         monkeypatch.setattr(qm, "_fold", broken_fold)
         report = qm.verify_axioms(q, 60, seed=7)
         monkeypatch.setattr(qm, "_fold", real_fold)
         assert not report.ok
+
+    def test_zeroed_cup_rows_detected_on_a_three_manifold(
+            self, rp2, torus, klein, mobius, solid_torus, monkeypatch):
+        # the x u_{n-2} dc term vanishes on surfaces (see
+        # test_cup_rows_annihilate_d0_on_surfaces), so only the solid torus
+        # can catch rows that drop it
+        import pinquad.quadratic as qm
+
+        qs = enumerate_quadratics(solid_torus, PIN)
+        for q in qs:
+            assert verify_axioms(q, 60, seed=6).ok
+        monkeypatch.setattr(qm, "_cup_rows", lambda ctx: [0] * ctx.solver.dim)
+        for q in qs:
+            assert not verify_axioms(q, 60, seed=6).ok
+        for m in (rp2, torus, klein, mobius):
+            for q in enumerate_quadratics(m, PIN):
+                assert verify_axioms(q, 60, seed=6).ok
 
     def test_negative_trials_are_refused(self, rp2):
         q = enumerate_quadratics(rp2, PIN)[0]
@@ -644,6 +670,45 @@ def test_v1_pairing_rows_match_cup_products(name):
             if integrate(m, cup_i(dual_cochain(m.complex, e), p, 0)) % 2:
                 want |= 1 << j
         assert row == want, e
+
+
+def _quad_manifold(name):
+    """A catalog fixture, or sd(name) for its barycentric subdivision."""
+    if name.startswith("sd("):
+        m = catalog(name[3:-1])
+        return validate_manifold(barycentric_subdivide(m.complex).complex, m.n)
+    return catalog(name)
+
+
+SURFACES = tuple(name for name in QUAD_FIXTURES if catalog(name).n == 2)
+SD_SURFACES = tuple(f"sd({name})" for name in ("rp2", "torus", "klein", "mobius", "annulus"))
+
+
+@pytest.mark.parametrize("name", QUAD_FIXTURES + SD_SURFACES)
+def test_cup_rows_match_cup_products(name):
+    m = _quad_manifold(name)
+    ctx = quad_context(m)
+    basis = ctx.solver.basis
+    rows = _cup_rows(ctx)
+    assert len(rows) == len(basis)
+    for k, e in enumerate(m.pair.relative_simplices(m.n - 1)):
+        e_star = dual_cochain(m.complex, e)
+        for j, p in enumerate(basis):
+            want = integrate(m, cup_i(p, e_star, m.n - 2)) % 2
+            assert (rows[j] >> k) & 1 == want, (e, j)
+    for l, row in enumerate(rows):
+        for j, p in enumerate(basis):
+            assert ctx.cross[l][j] == bin(row & to_bits(m.pair, p)).count("1") % 2
+
+
+@pytest.mark.parametrize("name", SURFACES + SD_SURFACES)
+def test_cup_rows_annihilate_d0_on_surfaces(name):
+    # for n = 2 and a cocycle x, x u_0 dc = d(x u_0 c), whose integral is 0
+    m = _quad_manifold(name)
+    rows = _cup_rows(quad_context(m))
+    for column in coboundary_bits(m.pair, 0):
+        for row in rows:
+            assert bin(row & column).count("1") % 2 == 0
 
 
 def test_g_pin_then_quad_context_builds_each_degree_once(monkeypatch):
