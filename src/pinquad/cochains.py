@@ -367,6 +367,38 @@ def cup_i(u: Cochain, v: Cochain, i: int) -> Cochain:
     return Cochain._of(x, p + q - i, u.ring, vals)
 
 
+def cup_table(m: ManifoldPair, cocycles: Sequence[Cochain], i: int,
+              left: bool) -> Dict[Simplex, int]:
+    """The cup_i pairing of an n-manifold's (n-1)-cocycles p_j with the
+    duals of its (i+1)-simplices, one entry per simplex e with bits set:
+    bit j of entry e is int(p_j u_i e*) when ``left``, else int(e* u_i p_j).
+
+    Each term of the integral is p_j on one face of a top simplex times e*
+    on the other, over the cut patterns of u_i, so the bits of the p_j at
+    one face are summed onto the other.  As in ``cup_i``, only the top
+    simplices above the supports are visited.
+    """
+    n = m.n
+    at: Dict[Simplex, int] = {}
+    for j, p in enumerate(cocycles):
+        for s in p.values:
+            at[s] = at.get(s, 0) ^ (1 << j)
+    up = cofaces(m.complex, n - 1)
+    tops = {tau for s in at for tau in up[s][1:]}
+    if left:
+        faces = [(even, odd) for even, odd, _ in _cut_patterns(n - 1, i + 1, i)]
+    else:
+        faces = [(odd, even) for even, odd, _ in _cut_patterns(i + 1, n - 1, i)]
+    table: Dict[Simplex, int] = {}
+    for s in tops:
+        for p_face, e_face in faces:
+            bits = at.get(p_face(s))
+            if bits:
+                e = e_face(s)
+                table[e] = table.get(e, 0) ^ bits
+    return table
+
+
 def cup(u: Cochain, v: Cochain) -> Cochain:
     return cup_i(u, v, 0)
 

@@ -149,23 +149,19 @@ class _SequenceData:
         self.s_n = solver(pair, n)
         self.s_np1 = solver(pair, n + 1)
 
-        def coords_bits(solver: CohomologySolver, c: Cochain) -> int:
-            coords, _ = solver.decompose(c)
-            return sum(bit << j for j, bit in enumerate(coords))
-
         # image of Sq^2 from H^{n-2} inside H^n
         self.b_rows: List[int] = []
         if self.s_nm2 is not None:
             for c in self.s_nm2.basis:
-                self.b_rows.append(coords_bits(self.s_n, sq(2, c)))
+                self.b_rows.append(self.s_n._decompose_bits(sq(2, c))[0])
         self.b_rank = rank(self.b_rows)
 
         # Sq^2 out of H^{n-1}, kernel = SH
-        sq2_cols = [coords_bits(self.s_np1, sq(2, p)) for p in self.s_nm1.basis]
+        sq2_cols = [self.s_np1._decompose_bits(sq(2, p))[0] for p in self.s_nm1.basis]
         self.sh_kernel: List[int] = nullspace(sq2_cols)
 
         # phi on classes: [p] -> [Sq^1 p]
-        self.phi_cols = [coords_bits(self.s_n, sq(1, p)) for p in self.s_nm1.basis]
+        self.phi_cols = [self.s_n._decompose_bits(sq(1, p))[0] for p in self.s_nm1.basis]
 
     def phi_of(self, combo_bits: int) -> int:
         return combine(self.phi_cols, combo_bits)
@@ -286,8 +282,7 @@ def g_is_trivial(a: GPair) -> bool:
     if any(coords):
         return False
     w_corr = a.w + sq(2, cert)
-    wcoords, _ = data.s_n.decompose(w_corr)
-    bits = sum(b << j for j, b in enumerate(wcoords))
+    bits = data.s_n._decompose_bits(w_corr)[0]
     return rank(data.b_rows + [bits]) == data.b_rank
 
 

@@ -11,16 +11,21 @@ left-to-right over the support, then absorb the coboundary with the second
 law.  Well-definedness (certificate and fold-order independence) needs the
 degree-2 Wu class of M to vanish, which construction enforces.
 
+Every table a manifold's context keeps (``_Context``) is a value of
+int x u_{n-2} y, or of u_0 against edges, on the basis p_j, read off
+``cochains.cup_table`` once per manifold: the cup rows against the
+relative (n-1)-simplices, the cross table, the Sq^1 parities, which are
+its diagonal because Sq^1 p = p u_{n-2} p + p u_{n-1} dp and dp = 0 on a
+cocycle, and the pairing rows of the H^1 action and ``v1_witness``.
+
 Evaluation runs on bits.  ``CohomologySolver._decompose_bits`` returns the
 coordinates a, the certificate c and its coboundary dc, which the
 solver's identity check computes anyway.  The correction term
-int x u_{n-2} dc is linear in x = sum a_j p_j, so it is read off the cup
-rows: row j holds the relative (n-1)-simplices e with int p_j u_{n-2} e*
-= 1, built in one pass over the top simplices the first time a manifold
-evaluates.  Only the terms quadratic in c, nonzero from dimension 3 on,
-build cochains and cup products.  ``verify_axioms`` checks the laws with
-``cup_i`` and ``sq`` on the right-hand sides, so it does not share the
-rows it would have to catch.
+int x u_{n-2} dc is linear in x = sum a_j p_j, so it is the parity of
+(sum a_j row_j) & dc.  Only the terms quadratic in c, nonzero from
+dimension 3 on, build cochains and cup products.  ``verify_axioms`` checks
+the laws with ``cup_i`` and ``sq`` on the right-hand sides, so it does not
+share the tables it would have to catch.
 
 Q moves between manifolds through three primitives.  ``_restrict(q,
 target, transfer)`` reads Q off the basis of target through a cochain
@@ -43,9 +48,9 @@ from .cochains import (
     Cochain,
     CohomologySolver,
     Z2,
-    _cut_patterns,
     coboundary_bits,
     cup_i,
+    cup_table,
     d,
     extend_by_zero,
     from_bits,
@@ -101,7 +106,18 @@ class QuadValue:
 
 
 class _Context:
-    """Per-manifold data shared by every quadratic function on it."""
+    """Per-manifold data shared by every quadratic function on it: the
+    solver of H^{n-1}(M, bd M) and four tables over its basis p_j, all read
+    off ``cochains.cup_table``.
+
+    - ``rows[j]``: the relative (n-1)-simplices e with int(p_j u_{n-2} e*)
+      = 1, as bits in canonical order.
+    - ``pairing[e]``: for every edge e in canonical order, the bits j with
+      int(e* u_0 p_j) = 1.
+    - ``cross[l][j]``: int(p_l u_{n-2} p_j), the parity of row l on p_j.
+    - ``sq1[j]``: int(Sq^1 p_j) = cross[j][j], since Sq^1 p = p u_{n-2} p
+      + p u_{n-1} dp and dp = 0.
+    """
 
     def __init__(self, m: ManifoldPair) -> None:
         if m.n < 1:
@@ -113,10 +129,19 @@ class _Context:
         self.solver = solver(m.pair, m.n - 1)
         basis = self.solver.basis
         n = m.n
-        self.sq1 = tuple(integrate(m, sq(1, p)) % 2 for p in basis)
-        self.cross = [
-            [integrate(m, cup_i(pl, pj, n - 2)) % 2 for pj in basis] for pl in basis
-        ]
+        below = cup_table(m, basis, n - 2, left=True)
+        self.rows = [0] * len(basis)
+        for k, e in enumerate(m.pair.relative_simplices(n - 1)):
+            bits = below.get(e, 0)
+            while bits:
+                j = _gf2.low_bit(bits)
+                bits &= bits - 1
+                self.rows[j] |= 1 << k
+        pairing = cup_table(m, basis, 0, left=False)
+        self.pairing = [pairing.get(e, 0) for e in m.complex.simplices(1)]
+        self.cross = [[bin(row & p).count("1") % 2 for p in self.solver._rep_bits]
+                      for row in self.rows]
+        self.sq1 = tuple(row[j] for j, row in enumerate(self.cross))
 
 
 def quad_context(m: ManifoldPair) -> _Context:
@@ -202,7 +227,7 @@ def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int
 
     Q(x) folds the sum law over the support of a.  The coboundary adds
     2 int (c u_{n-4} c + c u_{n-3} dc + x u_{n-2} dc), nothing when dc = 0.
-    The last term is linear in x, so it is read off the cup rows (``_cup_rows``)
+    The last term is linear in x, so it is read off the context's rows
     as the parity of (sum a_j row_j) & dc; the two terms quadratic in c
     are cup products, both zero below dimension 3.
     """
@@ -213,7 +238,7 @@ def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int
         for l in support[:t]:
             val += 2 * ctx.cross[l][j]
     if dpre:
-        val += 2 * bin(_gf2.combine(_cup_rows(ctx), coords) & dpre).count("1")
+        val += 2 * bin(_gf2.combine(ctx.rows, coords) & dpre).count("1")
         m = ctx.manifold
         n = m.n
         if n >= 3:
@@ -230,44 +255,6 @@ def eval_quadratic(q: QuadraticFunction, p: Cochain) -> QuadValue:
     return QuadValue(q.mode, _fold(q.ctx, coords, q.basis_values, pre, dpre))
 
 
-def _cup_rows(ctx: _Context) -> List[int]:
-    """The cup rows of the context's basis, built once per manifold on the
-    first evaluation that needs them."""
-    m = ctx.manifold
-    return cached(m, "cup_rows", lambda: _cup_rows_of(m, ctx.solver.basis))
-
-
-def _cup_rows_of(m: ManifoldPair, basis: Sequence[Cochain]) -> List[int]:
-    """Row j has bit e set when int(p_j u_{n-2} e*) = 1, for every relative
-    (n-1)-simplex e in canonical order.
-
-    (p_j u_{n-2} e*)(s) = sum p_j(even(s)) e*(odd(s)) over the cut patterns
-    of u_{n-2}, so the integral sums p_j over the even faces of the top
-    simplices whose odd face is e.
-    """
-    n = m.n
-    back = {}
-    for j, p in enumerate(basis):
-        for s in p.values:
-            back[s] = back.get(s, 0) ^ (1 << j)
-    patterns = _cut_patterns(n - 1, n - 1, n - 2)
-    front = {}
-    for s in m.fundamental:
-        for even, odd, _ in patterns:
-            bits = back.get(even(s))
-            if bits:
-                e = odd(s)
-                front[e] = front.get(e, 0) ^ bits
-    rows = [0] * len(basis)
-    for k, e in enumerate(m.pair.relative_simplices(n - 1)):
-        bits = front.get(e, 0)
-        while bits:
-            j = _gf2.low_bit(bits)
-            bits &= bits - 1
-            rows[j] |= 1 << k
-    return rows
-
-
 def act(q: QuadraticFunction, a: Cochain) -> QuadraticFunction:
     """Change of structure by a 1-cocycle: values shift by 2 int(a u_0 p_j)."""
     if a.degree != 1 or a.ring != Z2:
@@ -278,7 +265,7 @@ def act(q: QuadraticFunction, a: Cochain) -> QuadraticFunction:
     bits = to_bits(m.absolute(), a)
     if _gf2.combine(coboundary_bits(m.absolute(), 1), bits):
         raise NotACocycle("da != 0")
-    shift = _gf2.combine(_pairing(q.ctx), bits)
+    shift = _gf2.combine(q.ctx.pairing, bits)
     new = [(v + 2 * ((shift >> j) & 1)) % 4 for j, v in enumerate(q.basis_values)]
     return QuadraticFunction(q.ctx, q.mode, new)
 
@@ -298,35 +285,11 @@ def v1_witness(m: ManifoldPair) -> Cochain:
     ctx = quad_context(m)
     absolute = m.absolute()
     shift = len(absolute.relative_simplices(2))
-    rows = [de | (pj << shift) for de, pj in zip(coboundary_bits(absolute, 1), _pairing(ctx))]
+    rows = [de | (pj << shift) for de, pj in zip(coboundary_bits(absolute, 1), ctx.pairing)]
     sol = _gf2.solve(rows, sum(s << (shift + j) for j, s in enumerate(ctx.sq1)))
     if sol is None:
         raise NotACocycle("no v1 witness cocycle exists (should not happen)")
     return from_bits(absolute, 1, sol)
-
-
-def _pairing(ctx: _Context) -> List[int]:
-    """The pairing rows of the context's basis, built once per manifold."""
-    m = ctx.manifold
-    return cached(m, "pairing", lambda: _pairing_rows(m, ctx.solver.basis))
-
-
-def _pairing_rows(m: ManifoldPair, basis: Sequence[Cochain]) -> List[int]:
-    """Row e has bit j set when int(e* u_0 p_j) = 1, for every edge e.
-
-    (e* u_0 p_j)(s) = e*(s[:2]) p_j(s[1:]), so the integral sums p_j over
-    the back faces of the top simplices whose front edge is e.
-    """
-    back = {}
-    for j, p in enumerate(basis):
-        for s in p.values:
-            back[s] = back.get(s, 0) ^ (1 << j)
-    front = {}
-    for s in m.fundamental:
-        bits = back.get(s[1:])
-        if bits:
-            front[s[:2]] = front.get(s[:2], 0) ^ bits
-    return [front.get(e, 0) for e in m.complex.simplices(1)]
 
 
 # -- prescribing Q on a different basis -----------------------------------
@@ -421,10 +384,7 @@ def pushforward(f: SimplicialMap, q_source: QuadraticFunction,
     n = target.n
     top_target = solver(target.pair, n)
     top_source = solver(q_source.manifold.pair, n)
-    rows = []
-    for w in top_target.basis:
-        coords, _ = top_source.decompose(pullback(f, w))
-        rows.append(sum(b << j for j, b in enumerate(coords)))
+    rows = [top_source._decompose_bits(pullback(f, w))[0] for w in top_target.basis]
     if _gf2.rank(rows) < top_source.dim:
         raise DegreeZero("pullback is not onto in degree n; even mod-2 degree")
     return _restrict(q_source, target, lambda p: pullback(f, p))
@@ -586,10 +546,9 @@ class VerifyReport:
         return not self.failures
 
 
-def random_relative_cochain(rng: random.Random, m: ManifoldPair, k: int,
-                            density: float = 0.5) -> Cochain:
+def random_relative_cochain(rng: random.Random, m: ManifoldPair, k: int) -> Cochain:
     return Cochain._of(m.complex, k, Z2, {
-        s: 1 for s in m.pair.relative_simplices(k) if rng.random() < density})
+        s: 1 for s in m.pair.relative_simplices(k) if rng.random() < 0.5})
 
 
 def random_relative_cocycle(rng: random.Random, q: QuadraticFunction) -> Cochain:

@@ -12,7 +12,6 @@ e.g. on prism cylinders).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .cochains import Cochain, extend_by_zero, d, pullback
 from .complexes import (
@@ -32,15 +31,14 @@ class SuspensionContext:
     base: OrderedComplex
     total: OrderedComplex
     upper: int
-    lower: Optional[int]
 
 
 def suspension_context(sx: SuspensionComplex) -> SuspensionContext:
-    return SuspensionContext(sx.base, sx.complex, sx.upper, sx.lower)
+    return SuspensionContext(sx.base, sx.complex, sx.upper)
 
 
 def cone_context(c: Cone) -> SuspensionContext:
-    return SuspensionContext(c.base, c.complex, c.apex, None)
+    return SuspensionContext(c.base, c.complex, c.apex)
 
 
 def suspend(ctx: SuspensionContext, c: Cochain) -> Cochain:

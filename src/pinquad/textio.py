@@ -7,12 +7,13 @@ are nonnegative integers and all parsing is bit-exact.
 
 Cochain files: a `cochain <ring> <degree>` header followed by lines
 `<v0> <v1> ... -> <value>`; Z2 values are 0/1, Z4 values 0..3, QmodZ
-values `num/den`.
+values `num/den` or an integer.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -142,6 +143,10 @@ def content_hash(text: str) -> str:
 
 # -- cochains -------------------------------------------------------------
 
+# a sign, digits and an optional /digits; Fraction alone would also take
+# decimals and exponents, and an exponent costs time superlinear in its value
+_FRACTION = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def parse_cochain(text: str, complex: OrderedComplex) -> Cochain:
     ring = None
@@ -170,7 +175,10 @@ def parse_cochain(text: str, complex: OrderedComplex) -> Cochain:
         try:
             left, right = line.split("->")
             simplex = tuple(int(a) for a in left.split())
-            value = Fraction(right.strip()) if ring == QMODZ else int(right)
+            right = right.strip()
+            if ring == QMODZ and not _FRACTION.fullmatch(right):
+                raise ValueError("a QmodZ value is an integer or num/den")
+            value = Fraction(right) if ring == QMODZ else int(right)
         except Exception as e:
             raise ParseError(f"cannot parse {line!r} ({e})", lineno)
         if not complex.has_simplex(simplex):

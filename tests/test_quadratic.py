@@ -14,7 +14,6 @@ from pinquad.cochains import (
     integrate,
     pullback,
     sq,
-    to_bits,
     zero_cochain,
 )
 from pinquad.complexes import (
@@ -40,8 +39,6 @@ from pinquad.fixtures import CATALOG_NAMES, catalog
 from pinquad.quadratic import (
     PIN,
     SPIN,
-    _cup_rows,
-    _pairing_rows,
     act,
     boundary_manifold,
     boundary_quadratic,
@@ -632,14 +629,14 @@ class TestVerify:
     def test_zeroed_cup_rows_detected_on_a_three_manifold(
             self, rp2, torus, klein, mobius, solid_torus, monkeypatch):
         # the x u_{n-2} dc term vanishes on surfaces (see
-        # test_cup_rows_annihilate_d0_on_surfaces), so only the solid torus
-        # can catch rows that drop it
-        import pinquad.quadratic as qm
-
+        # test_cup_rows_annihilate_d0_on_surfaces), so rows zeroed after the
+        # cross table is built can only be caught on the solid torus
         qs = enumerate_quadratics(solid_torus, PIN)
         for q in qs:
             assert verify_axioms(q, 60, seed=6).ok
-        monkeypatch.setattr(qm, "_cup_rows", lambda ctx: [0] * ctx.solver.dim)
+        for m in (solid_torus, rp2, torus, klein, mobius):
+            ctx = quad_context(m)
+            monkeypatch.setattr(ctx, "rows", [0] * ctx.solver.dim)
         for q in qs:
             assert not verify_axioms(q, 60, seed=6).ok
         for m in (rp2, torus, klein, mobius):
@@ -660,8 +657,9 @@ QUAD_FIXTURES = tuple(name for name in CATALOG_NAMES if name not in ("sphere0", 
 @pytest.mark.parametrize("name", QUAD_FIXTURES)
 def test_v1_pairing_rows_match_cup_products(name):
     m = catalog(name)
-    basis = quad_context(m).solver.basis
-    rows = _pairing_rows(m, basis)
+    ctx = quad_context(m)
+    basis = ctx.solver.basis
+    rows = ctx.pairing
     edges = m.complex.simplices(1)
     assert len(rows) == len(edges)
     for e, row in zip(edges, rows):
@@ -689,23 +687,25 @@ def test_cup_rows_match_cup_products(name):
     m = _quad_manifold(name)
     ctx = quad_context(m)
     basis = ctx.solver.basis
-    rows = _cup_rows(ctx)
+    rows = ctx.rows
     assert len(rows) == len(basis)
     for k, e in enumerate(m.pair.relative_simplices(m.n - 1)):
         e_star = dual_cochain(m.complex, e)
         for j, p in enumerate(basis):
             want = integrate(m, cup_i(p, e_star, m.n - 2)) % 2
             assert (rows[j] >> k) & 1 == want, (e, j)
-    for l, row in enumerate(rows):
-        for j, p in enumerate(basis):
-            assert ctx.cross[l][j] == bin(row & to_bits(m.pair, p)).count("1") % 2
+    for l, pl in enumerate(basis):
+        for j, pj in enumerate(basis):
+            assert ctx.cross[l][j] == integrate(m, cup_i(pl, pj, m.n - 2)) % 2
+    for j, p in enumerate(basis):
+        assert ctx.sq1[j] == integrate(m, sq(1, p)) % 2
 
 
 @pytest.mark.parametrize("name", SURFACES + SD_SURFACES)
 def test_cup_rows_annihilate_d0_on_surfaces(name):
     # for n = 2 and a cocycle x, x u_0 dc = d(x u_0 c), whose integral is 0
     m = _quad_manifold(name)
-    rows = _cup_rows(quad_context(m))
+    rows = quad_context(m).rows
     for column in coboundary_bits(m.pair, 0):
         for row in rows:
             assert bin(row & column).count("1") % 2 == 0

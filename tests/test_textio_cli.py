@@ -124,6 +124,8 @@ class TestCochainFormat:
         ("cochain Z2 1\n0 1 3 -> 1\n", 2),
         ("cochain Z2 1\n1 0 -> 1\n", 2),
         ("cochain Z2 1\n0 1 -> 1\ncochain Z2 2\n", 3),
+        ("cochain QmodZ 1\n0 1 -> 1e5\n", 2),
+        ("cochain QmodZ 1\n0 1 -> 0.5\n", 2),
     ])
     def test_malformed_input_names_its_line(self, rp2, text, line):
         with pytest.raises(ParseError) as info:
@@ -131,7 +133,7 @@ class TestCochainFormat:
         assert info.value.line == line
 
 
-_cochain_lines = st.text(alphabet="0123456789 -> /x#", max_size=24)
+_cochain_lines = st.text(alphabet="0123456789 -> /x#e.", max_size=24)
 
 
 @settings(max_examples=300, deadline=None)
