@@ -27,7 +27,7 @@ from .fixtures import (
     raw_annulus_pair,
     raw_mobius_pair,
 )
-from .textio import content_hash, format_cochain, manifold_from_text, parse_cochain
+from .textio import content_hash, format_cochain, integer, manifold_from_text, parse_cochain
 
 
 def _load_manifold(args) -> Tuple[ManifoldPair, str]:
@@ -116,7 +116,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _parse_values(text: str) -> List[int]:
-    return [int(v) for v in text.split(",")] if text else []
+    return [integer(v) for v in text.split(",")] if text else []
 
 
 def _cmd_quad(args) -> int:
@@ -246,7 +246,7 @@ def _cmd_identities(args) -> int:
 
 def count(text: str) -> int:
     """A non-negative int option value, such as a trial count or a log2."""
-    value = int(text)
+    value = integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} is negative")
     return value
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="mod-2 Betti numbers and basis cocycles")
     add_common(p)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=integer, required=True)
     p.add_argument("--rel", action="store_true", help="relative to the boundary")
     p.add_argument("--basis", action="store_true", help="print basis cocycles")
     p.set_defaults(func=_cmd_cohomology)
@@ -288,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", default="", help="comma separated Z/4 basis values")
     p.add_argument("--cochain", default=None, help="cochain text file")
     p.add_argument("--trials", type=count, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("ggroup", help="G_n^pin profile")
     add_common(p)
-    p.add_argument("-n", type=int, default=None)
+    p.add_argument("-n", type=integer, default=None)
     p.add_argument("--engine", choices=("formula", "bruteforce"), default="formula")
     p.add_argument("--budget-log2", type=count, default=SIZE_BUDGET.bit_length() - 1)
     p.set_defaults(func=_cmd_ggroup)
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identities", help="randomized identity suites")
     add_common(p, fixture=False)
     p.add_argument("--trials", type=count, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--suites", default=None,
                    help="comma separated suite names (default: all)")
     p.add_argument("--mutate-signs", action="store_true",

@@ -177,14 +177,6 @@ def embed_z2_qmodz(c: Cochain) -> Cochain:
                        {s: Fraction(v, 2) for s, v in c.values.items()})
 
 
-def view_z4_qmodz(c: Cochain) -> Cochain:
-    """The R/Z view of a Z/4 cochain (value/4)."""
-    if c.ring != Z4:
-        raise RingMismatch("expected a Z4 cochain")
-    return Cochain._of(c.complex, c.degree, QMODZ,
-                       {s: Fraction(v, 4) for s, v in c.values.items()})
-
-
 # -- coboundary ----------------------------------------------------------
 
 
@@ -523,7 +515,7 @@ class CohomologySolver:
             raise NotACocycle("cocycle space bookkeeping failed")
         coords, pre = track >> self._shift, track & ((1 << self._shift) - 1)
         dpre = combine(coboundary_bits(self.pair, self.degree - 1), pre)
-        if combine(self._rep_bits, coords) ^ dpre != bits:
+        if self._cocycle_bits(coords) ^ dpre != bits:
             raise InvariantViolation("decomposition identity failed")
         return coords, pre, dpre
 
@@ -532,7 +524,12 @@ class CohomologySolver:
         if len(coords) != self.dim:
             raise ValueError("one coordinate per basis class")
         bits = sum((a % 2) << j for j, a in enumerate(coords))
-        return from_bits(self.pair, self.degree, combine(self._rep_bits, bits))
+        return from_bits(self.pair, self.degree, self._cocycle_bits(bits))
+
+    def _cocycle_bits(self, coords: int) -> int:
+        """sum a_j p_j as bits over the relative simplices, for a as bits
+        over the basis."""
+        return combine(self._rep_bits, coords)
 
 
 def solver(pair: ComplexPair, k: int) -> CohomologySolver:

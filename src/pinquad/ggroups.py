@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ._gf2 import Echelon, combine, eliminate, nullspace, rank
 from .cochains import (
     Cochain,
-    CohomologySolver,
     QMODZ,
     Z2,
     coboundary_bits,
@@ -236,7 +235,7 @@ def g_pin(pair: ComplexPair, n: int) -> GGroupStructure:
             sh2.append(kv ^ combine(picks4, track))
 
     def sh_cert(kv: int) -> GPair:
-        p = _combo(data.s_nm1, kv)
+        p = from_bits(pair, n - 1, data.s_nm1._cocycle_bits(kv))
         _, w = data.s_np1.decompose(sq(2, p))  # Sq^2 p = dw, class 0
         return GPair(pair, n, PIN, w, p)
 
@@ -264,10 +263,6 @@ def g_pin(pair: ComplexPair, n: int) -> GGroupStructure:
     )
 
 
-def _combo(solver: CohomologySolver, bits: int) -> Cochain:
-    return from_bits(solver.pair, solver.degree, combine(solver._rep_bits, bits))
-
-
 def g_is_trivial(a: GPair) -> bool:
     """Whether (w, p) lies in the relation subgroup {(df + Sq^2 c, dc)}.
 
@@ -284,16 +279,6 @@ def g_is_trivial(a: GPair) -> bool:
     w_corr = a.w + sq(2, cert)
     bits = data.s_n._decompose_bits(w_corr)[0]
     return rank(data.b_rows + [bits]) == data.b_rank
-
-
-def g_order(a: GPair, limit: int = 8) -> int:
-    """Order of a pair in the quotient group (small orders only)."""
-    acc = a
-    for k in range(1, limit + 1):
-        if g_is_trivial(acc):
-            return k
-        acc = g_product(acc, a)
-    raise ValueError(f"order exceeds {limit}")
 
 
 # -- brute-force oracle ------------------------------------------------------

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .cochains import Cochain, CohomologySolver, INT, QMODZ, Z2, Z4, cup_i, d, pullback, sq
-from .complexes import (OrderedComplex, absolute_pair, barycentric_subdivide, build_complex,
-                        cached, suspension)
+from .cochains import Cochain, CohomologySolver, INT, QMODZ, Z2, Z4, cup_i, d, sq
+from .complexes import OrderedComplex, absolute_pair, build_complex, cached, suspension
 from .suspension import suspend, suspension_context
 
 @dataclass
@@ -280,25 +279,3 @@ def run_suites(trials: int = 1000, seed: int = 0,
         out.append(_SUITES[name](trials=trials, seed=seed, cup=cup))
     return out
 
-
-def pullback_identity_suite(trials: int = 200, seed: int = 0) -> IdentityReport:
-    """f* commutes with d and with every cup_i along subdivision maps."""
-    rng = random.Random(f"pullback:{seed}")
-    report = IdentityReport("pullback", trials)
-    pool = [random_complex(rng, 3) for _ in range(8)]
-    subs = [barycentric_subdivide(x) for x in pool]
-    for t in range(trials):
-        j = rng.randrange(len(pool))
-        x, sd = pool[j], subs[j]
-        p = rng.randint(0, min(3, x.dim))
-        q = rng.randint(0, min(3, x.dim))
-        i = rng.randint(0, min(p, q))
-        X = random_cochain(rng, x, p, INT)
-        Y = random_cochain(rng, x, q, INT)
-        f = sd.to_base
-        if pullback(f, d(X)) != d(pullback(f, X)):
-            report.failures.append(f"trial {t}: d")
-            continue
-        if pullback(f, cup_i(X, Y, i)) != cup_i(pullback(f, X), pullback(f, Y), i):
-            report.failures.append(f"trial {t}: cup_{i}")
-    return report

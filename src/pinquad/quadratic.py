@@ -22,10 +22,12 @@ Evaluation runs on bits.  ``CohomologySolver._decompose_bits`` returns the
 coordinates a, the certificate c and its coboundary dc, which the
 solver's identity check computes anyway.  The correction term
 int x u_{n-2} dc is linear in x = sum a_j p_j, so it is the parity of
-(sum a_j row_j) & dc.  Only the terms quadratic in c, nonzero from
-dimension 3 on, build cochains and cup products.  ``verify_axioms`` checks
-the laws with ``cup_i`` and ``sq`` on the right-hand sides, so it does not
-share the tables it would have to catch.
+(sum a_j row_j) & dc.  Only the two terms quadratic in c, nonzero from
+dimension 3 on, build cochains: c and dc once each, and one integral of
+c u_{n-4} c + c u_{n-3} dc.  ``verify_axioms`` draws its cocycles as bits,
+sum a_j p_j plus the coboundary of a random relative cochain, and makes
+each a Cochain once.  It checks the laws with ``cup_i`` and ``sq`` on the
+right-hand sides, so it does not share the tables it would have to catch.
 
 Q moves between manifolds through three primitives.  ``_restrict(q,
 target, transfer)`` reads Q off the basis of target through a cochain
@@ -244,8 +246,7 @@ def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int
         if n >= 3:
             c = from_bits(m.pair, n - 2, pre)
             dc = from_bits(m.pair, n - 1, dpre)
-            for a, b, i in ((c, c, n - 4), (c, dc, n - 3)):
-                val += 2 * integrate(m, cup_i(a, b, i))
+            val += 2 * integrate(m, cup_i(c, c, n - 4) + cup_i(c, dc, n - 3))
     return val % 4
 
 
@@ -552,14 +553,13 @@ def random_relative_cochain(rng: random.Random, m: ManifoldPair, k: int) -> Coch
 
 
 def random_relative_cocycle(rng: random.Random, q: QuadraticFunction) -> Cochain:
-    ctx = q.ctx
+    """sum a_j p_j + dc for random a and c, added as bits."""
     m = q.manifold
-    coords = [rng.randint(0, 1) for _ in range(ctx.solver.dim)]
-    p = ctx.solver.reconstruct(coords)
+    bits = q.solver._cocycle_bits(sum(rng.randint(0, 1) << j for j in range(q.solver.dim)))
     if m.n >= 2:
         c = random_relative_cochain(rng, m, m.n - 2)
-        p = p + d(c)
-    return p
+        bits ^= _gf2.combine(coboundary_bits(m.pair, m.n - 2), to_bits(m.pair, c))
+    return from_bits(m.pair, m.n - 1, bits)
 
 
 def verify_axioms(q: QuadraticFunction, trials: int = 100,

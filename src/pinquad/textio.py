@@ -3,7 +3,8 @@
 Complex files:  `dim <n>`, optional `rank <v> <r>` lines, `simplex <v0> ...`
 for maximal simplices, `boundary auto` or explicit `boundary <v0> ...`
 lines, optional `orient <v0> ... <+1|-1>` lines, `#` comments.  Vertices
-are nonnegative integers and all parsing is bit-exact.
+are nonnegative integers and all parsing is bit-exact: every integer, in
+both formats, is an optional sign and ASCII digits (``integer``).
 
 Cochain files: a `cochain <ring> <degree>` header followed by lines
 `<v0> <v1> ... -> <value>`; Z2 values are 0/1, Z4 values 0..3, QmodZ
@@ -24,6 +25,19 @@ from .complexes import (
     validate_manifold,
 )
 from .errors import ParseError
+
+
+# a sign and ASCII digits; int() alone would also take underscores and
+# the digits of other scripts ('1_1', an Arabic-Indic or a fullwidth 3)
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """The integer written in text, or a ValueError if it is not one.
+    Spaces around it are allowed, as int() allows them."""
+    if not _INT.fullmatch(text.strip()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 @dataclass
@@ -48,21 +62,21 @@ def parse_complex(text: str) -> ComplexSpec:
         key, args = parts[0], parts[1:]
         try:
             if key == "dim":
-                spec.dim = int(args[0])
+                spec.dim = integer(args[0])
             elif key == "rank":
-                spec.rank[int(args[0])] = int(args[1])
+                spec.rank[integer(args[0])] = integer(args[1])
             elif key == "simplex":
-                spec.maximal.append(tuple(int(a) for a in args))
+                spec.maximal.append(tuple(map(integer, args)))
             elif key == "boundary":
                 saw_boundary = True
                 if args == ["auto"]:
                     pass
                 else:
-                    explicit_boundary.append(tuple(int(a) for a in args))
+                    explicit_boundary.append(tuple(map(integer, args)))
                     named.append((lineno, raw, explicit_boundary[-1]))
             elif key == "orient":
                 sign = {"+1": 1, "1": 1, "-1": -1}[args[-1]]
-                simplex = tuple(int(a) for a in args[:-1])
+                simplex = tuple(map(integer, args[:-1]))
                 if spec.orientation is None:
                     spec.orientation = {}
                 spec.orientation[simplex] = sign
@@ -163,7 +177,7 @@ def parse_cochain(text: str, complex: OrderedComplex) -> Cochain:
             try:
                 if len(parts) != 3 or parts[1] not in RINGS:
                     raise ValueError
-                degree = int(parts[2])
+                degree = integer(parts[2])
             except ValueError:
                 raise ParseError(f"bad header {line!r}", lineno)
             ring = parts[1]
@@ -174,11 +188,11 @@ def parse_cochain(text: str, complex: OrderedComplex) -> Cochain:
             raise ParseError(f"expected '<vertices> -> <value>' in {line!r}", lineno)
         try:
             left, right = line.split("->")
-            simplex = tuple(int(a) for a in left.split())
+            simplex = tuple(map(integer, left.split()))
             right = right.strip()
             if ring == QMODZ and not _FRACTION.fullmatch(right):
                 raise ValueError("a QmodZ value is an integer or num/den")
-            value = Fraction(right) if ring == QMODZ else int(right)
+            value = Fraction(right) if ring == QMODZ else integer(right)
         except Exception as e:
             raise ParseError(f"cannot parse {line!r} ({e})", lineno)
         if not complex.has_simplex(simplex):

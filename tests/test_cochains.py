@@ -24,7 +24,6 @@ from pinquad.cochains import (
     sq,
     steenrod_sign_exponent,
     to_bits,
-    view_z4_qmodz,
     wu_v2_check,
     zero_cochain,
 )
@@ -54,6 +53,11 @@ from pinquad.fixtures import CATALOG_NAMES, catalog
 from pinquad.identities import random_cochain, random_complex
 from pinquad.quadratic import random_relative_cochain
 from pinquad.suspension import desuspend, suspend, suspension_context
+
+
+def view_z4_qmodz(c):
+    """The R/Z view of a Z/4 cochain (value/4)."""
+    return Cochain(c.complex, c.degree, QMODZ, {s: Fraction(v, 4) for s, v in c.values.items()})
 
 
 def triangle():
@@ -171,9 +175,25 @@ class TestPullback:
         assert pullback(f, c).is_zero()
 
     def test_pullback_commutes_with_d_and_cups(self):
-        from pinquad.identities import pullback_identity_suite
-
-        assert pullback_identity_suite(trials=150, seed=1).ok
+        """f* commutes with d and with every cup_i along subdivision maps."""
+        rng = random.Random("pullback:1")
+        pool = [random_complex(rng, 3) for _ in range(8)]
+        subs = [barycentric_subdivide(x) for x in pool]
+        failures = []
+        for t in range(150):
+            j = rng.randrange(len(pool))
+            x, f = pool[j], subs[j].to_base
+            p = rng.randint(0, min(3, x.dim))
+            q = rng.randint(0, min(3, x.dim))
+            i = rng.randint(0, min(p, q))
+            X = random_cochain(rng, x, p, INT)
+            Y = random_cochain(rng, x, q, INT)
+            if pullback(f, d(X)) != d(pullback(f, X)):
+                failures.append(f"trial {t}: d")
+                continue
+            if pullback(f, cup_i(X, Y, i)) != cup_i(pullback(f, X), pullback(f, Y), i):
+                failures.append(f"trial {t}: cup_{i}")
+        assert not failures
 
 
 class TestIntegrate:
@@ -291,6 +311,20 @@ class TestSolver:
                 assert [(a >> j) & 1 for j in range(solver.dim)] == list(got) == coords
                 assert pre == to_bits(m.pair, cert)
                 assert dpre == to_bits(m.pair, d(cert))
+
+    @pytest.mark.parametrize("name", ["rp2", "solid_torus"])
+    def test_from_bits_round_trips(self, name):
+        """from_bits reads every set bit, the lowest and the top one included,
+        and to_bits gives the mask back."""
+        m = catalog(name)
+        rng = random.Random(name)
+        for k in range(m.n + 1):
+            simplices = m.pair.relative_simplices(k)
+            width = len(simplices)
+            for b in (0, (1 << width) >> 1, (1 << width) - 1, rng.getrandbits(width)):
+                c = from_bits(m.pair, k, b)
+                assert set(c.values) == {s for j, s in enumerate(simplices) if (b >> j) & 1}
+                assert to_bits(m.pair, c) == b
 
     def test_reconstruct_needs_one_coordinate_per_class(self, rp2):
         solver = CohomologySolver(rp2.pair, 1)

@@ -27,7 +27,6 @@ from pinquad.ggroups import (
     g_identity,
     g_inverse,
     g_is_trivial,
-    g_order,
     g_pair,
     g_pin,
     g_pin_bruteforce,
@@ -40,6 +39,16 @@ from pinquad.ggroups import (
     quad_to_linear,
 )
 from pinquad.quadratic import PIN, SPIN, enumerate_quadratics, eval_quadratic
+
+
+def g_order(a, limit=8):
+    """Order of a pair in the quotient group (small orders only)."""
+    acc = a
+    for k in range(1, limit + 1):
+        if g_is_trivial(acc):
+            return k
+        acc = g_product(acc, a)
+    raise ValueError(f"order exceeds {limit}")
 
 
 def random_gpair(rng, pair, n, solver_cache={}):

@@ -32,6 +32,7 @@ from pinquad.quadratic import (
     eval_quadratic,
     quad_context,
     random_relative_cochain,
+    random_relative_cocycle,
     transfer_subdivision,
     v1_witness,
 )
@@ -141,7 +142,10 @@ def _quad_manifold(name):
 def _seeded_cocycles(m, count=20, seed=0):
     """count relative (n-1)-cocycles: a seeded combination of the basis
     plus the coboundary of a seeded random (n-2)-cochain."""
-    rng = random.Random(seed)
+    return _seeded_cocycles_with(random.Random(seed), m, count)
+
+
+def _seeded_cocycles_with(rng, m, count):
     solver = quad_context(m).solver
     out = []
     for _ in range(count):
@@ -195,6 +199,19 @@ def test_sd_solid_torus_solver_matches_golden_digest():
 
 def test_quad_values_match_golden():
     assert quad_values() == _read("quad_values.jsonl")
+
+
+@pytest.mark.parametrize("name", QUAD_VALUE_MANIFOLDS)
+def test_random_cocycles_match_the_dict_reference(name):
+    """random_relative_cocycle adds its parts as bits; it must draw what the
+    dict form of ``_seeded_cocycles`` draws, with the same rng calls."""
+    m = _quad_manifold(name)
+    q = enumerate_quadratics(m)[0]
+    for seed in range(3):
+        rng, reference = random.Random(seed), random.Random(seed)
+        draws = [random_relative_cocycle(rng, q) for _ in range(20)]
+        assert draws == _seeded_cocycles_with(reference, m, 20)
+        assert rng.getstate() == reference.getstate()
 
 
 def regenerate():

@@ -19,6 +19,7 @@ from pinquad.textio import (
     content_hash,
     format_cochain,
     format_complex,
+    integer,
     manifold_from_text,
     parse_cochain,
     parse_complex,
@@ -126,11 +127,82 @@ class TestCochainFormat:
         ("cochain Z2 1\n0 1 -> 1\ncochain Z2 2\n", 3),
         ("cochain QmodZ 1\n0 1 -> 1e5\n", 2),
         ("cochain QmodZ 1\n0 1 -> 0.5\n", 2),
+        # integers are a sign and ASCII digits (TestStrictIntegers)
+        ("cochain Z2 0_1\n", 1),
+        ("cochain Z4 1\n0 1 -> 1_1\n", 2),
+        ("cochain Z2 1\n0_0 1 -> 1\n", 2),
+        ("cochain Int 1\n0 1 -> \u0663\n", 2),
+        ("cochain Z2 1\n0 1 -> \uff11\n", 2),
     ])
     def test_malformed_input_names_its_line(self, rp2, text, line):
         with pytest.raises(ParseError) as info:
             parse_cochain(text, rp2.complex)
         assert info.value.line == line
+
+
+class TestStrictIntegers:
+    """Every integer of the text formats and of the command line is an
+    optional sign and ASCII digits, with spaces around it allowed as int()
+    allows them; int() alone also takes underscores and other scripts'
+    digits.  The malformed cochain lines are in TestCochainFormat."""
+
+    @pytest.mark.parametrize("text", ["1_1", "\u0663", "\uff13", "", " ", "+", "1 2",
+                                      "--1", "0x1", "1.0", "1e2"])
+    def test_reader_refuses(self, text):
+        with pytest.raises(ValueError):
+            integer(text)
+
+    @pytest.mark.parametrize("text", ["0", "7", "-3", "+1", "-0", "007", " 1", "1 ",
+                                      "\t-3\n", "123456789012345678901234567890"])
+    def test_reader_agrees_with_int(self, text):
+        assert integer(text) == int(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("dim \u0662\nsimplex 0 1 2\n", 1),
+        ("rank 0 1_0\nsimplex 0 1\n", 1),
+        ("dim 2\nsimplex 0 1 2_0\n", 2),
+        ("simplex 0 1\nboundary 0_0\n", 2),
+        ("simplex 0 1\norient 0 \uff11 +1\n", 2),
+    ])
+    def test_complex_refuses(self, text, line):
+        with pytest.raises(ParseError) as info:
+            parse_complex(text)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["quad", "negate", "--fixture", "rp2", "--values", "1,3,\u0663"], "\u0663"),
+        (["cohomology", "--fixture", "rp2", "-k", "1_1"], "1_1"),
+        (["ggroup", "--fixture", "rp2", "-n", "\u0662"], "\u0662"),
+        (["quad", "verify", "--fixture", "rp2", "--seed", "1_0"], "1_0"),
+        (["quad", "verify", "--fixture", "rp2", "--trials", "\uff13"], "\uff13"),
+        (["ggroup", "--fixture", "rp2", "--budget-log2", "1_0"], "1_0"),
+        (["identities", "--seed", "\uff13"], "\uff13"),
+    ])
+    def test_cli_refuses(self, argv, bad, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and repr(bad) in errors[0]
+
+    def test_valid_input_reads_as_before(self, rp2, capsys):
+        """Signs, leading zeros and spaces around option values and --values
+        items still parse."""
+        c = parse_cochain("cochain Z4 +1\n+0 01 -> -1\n", rp2.complex)
+        assert c == Cochain(rp2.complex, 1, Z4, {(0, 1): 3})
+        spec = parse_complex("dim +2\nrank 0 00\nsimplex 0 1 +2\n")
+        assert (spec.dim, spec.rank, spec.maximal) == (2, {0: 0}, [(0, 1, 2)])
+        for values in ("0,2", " 0 , 2 "):
+            assert main(["quad", "negate", "--fixture", "torus", "--values", values]) == 0
+        assert main(["cohomology", "--fixture", "rp2", "-k", "+1"]) == 0
+        assert main(["cohomology", "--fixture", "rp2", "-k", " 1 "]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["-Q values (0, 2)"] * 2 + ["dim H^1(M) = 1"] * 2
+        padded = ["quad", "verify", "--fixture", "rp2", "--format", "jsonl"]
+        assert main(padded + ["--trials", "3", "--seed", "1"]) == 0
+        plain = capsys.readouterr().out
+        assert main(padded + ["--trials", " 3", "--seed", "1 "]) == 0
+        assert capsys.readouterr().out == plain
 
 
 _cochain_lines = st.text(alphabet="0123456789 -> /x#e.", max_size=24)
