@@ -14,10 +14,10 @@ import importlib
 
 _EXPORTS = {
     "cochains": (
-        "Cochain", "CohomologySolver", "INT", "QMODZ", "Z2", "Z4", "cup",
-        "cup_i", "d", "dual_cochain", "embed_z2_qmodz", "embed_z2_z4",
-        "extend_by_zero", "integrate", "pullback", "sq", "wu_v2_check",
-        "zero_cochain",
+        "Cochain", "CohomologySolver", "INT", "PIN", "QMODZ", "SPIN", "Z2",
+        "Z4", "cup", "cup_i", "d", "dual_cochain", "embed_z2_qmodz",
+        "embed_z2_z4", "extend_by_zero", "integrate", "pullback", "sq",
+        "wu_v2_check", "zero_cochain",
     ),
     "complexes": (
         "ComplexPair", "ManifoldPair", "OrderedComplex", "SimplicialMap",
@@ -33,7 +33,7 @@ _EXPORTS = {
         "quad_to_linear",
     ),
     "quadratic": (
-        "PIN", "QuadraticFunction", "QuadValue", "SPIN", "act",
+        "QuadraticFunction", "QuadValue", "act",
         "boundary_quadratic", "brown_gauss", "cylinder_extend",
         "cylinder_restrict", "disjoint_sum", "enumerate_quadratics",
         "eval_quadratic", "make_quadratic", "negate", "pushforward",

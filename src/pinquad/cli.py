@@ -5,9 +5,20 @@ text or json-lines (stable key order, so identical seeds and inputs give
 byte-identical output).  Every result carries the content hash of the
 complex it was computed from.  Exit codes: 0 success, 1 usage, parse or
 file error, 2 mathematical failure (an identity suite or a verification
-reported violations).  Each command imports the modules it computes with,
-so ``info`` and ``cohomology`` never load ``quadratic``, ``ggroups`` or
-``identities``.
+reported violations).
+
+Start-up is most of a small command's time, so each command imports only
+the modules it computes with.  Every command loads ``cochains``,
+``complexes``, ``fixtures`` and ``textio``; beyond them
+
+- ``info`` and ``cohomology`` load nothing more;
+- ``quad`` loads ``quadratic`` and ``suspension``;
+- ``ggroup`` loads ``ggroups``, but not ``quadratic``;
+- ``identities`` loads ``identities`` and ``suspension``.
+
+For the same reason the package's records are NamedTuples or plain
+classes: the standard library's record decorator would bring ``inspect``
+and ``ast`` into every command.
 """
 
 from __future__ import annotations
@@ -252,6 +263,19 @@ def count(text: str) -> int:
     return value
 
 
+# The largest --budget-log2.  No enumeration of 2^64 elements ends, and the
+# option's 2^value is built as an int, so a larger value is refused.
+BUDGET_LOG2_CAP = 64
+
+
+def budget_log2(text: str) -> int:
+    """A --budget-log2 value: a count no larger than BUDGET_LOG2_CAP."""
+    value = count(text)
+    if value > BUDGET_LOG2_CAP:
+        raise argparse.ArgumentTypeError(f"{value} exceeds the cap {BUDGET_LOG2_CAP}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinquad",
@@ -295,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("-n", type=integer, default=None)
     p.add_argument("--engine", choices=("formula", "bruteforce"), default="formula")
-    p.add_argument("--budget-log2", type=count, default=SIZE_BUDGET.bit_length() - 1)
+    p.add_argument("--budget-log2", type=budget_log2, default=SIZE_BUDGET.bit_length() - 1,
+                   help=f"log2 of the oracle's budget, at most {BUDGET_LOG2_CAP}")
     p.set_defaults(func=_cmd_ggroup)
 
     p = sub.add_parser("identities", help="randomized identity suites")

@@ -50,6 +50,11 @@ QMODZ = "QmodZ"
 
 RINGS = (INT, Z2, Z4, QMODZ)
 
+# the two modes of quadratic functions and G-pairs: Z/4 values (pin), or
+# values in 2(Z/2) < Z/4 with R/Z-valued w (spin)
+PIN = "pin"
+SPIN = "spin"
+
 
 def _reduced(ring: str, values: Dict[Simplex, object]) -> Dict[Simplex, object]:
     """values reduced into ring, zeros dropped; the one normaliser."""

@@ -38,8 +38,7 @@ output of subdivision once cost about as much as subdividing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BoundaryNotFull,
@@ -465,12 +464,14 @@ def validate_manifold(
 # -- constructions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(NamedTuple):
     complex: OrderedComplex
     to_base: SimplicialMap
-    vertex_of: Dict[Simplex, int] = field(repr=False)
-    simplex_of: Dict[int, Simplex] = field(repr=False)
+    vertex_of: Dict[Simplex, int]
+    simplex_of: Dict[int, Simplex]
+
+    def __repr__(self) -> str:
+        return f"Subdivision(complex={self.complex!r}, to_base={self.to_base!r})"
 
 
 def barycentric_subdivide(x: OrderedComplex) -> Subdivision:
@@ -497,8 +498,7 @@ def barycentric_subdivide(x: OrderedComplex) -> Subdivision:
     return Subdivision(sd, b, vertex_of, simplex_of)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     pair: ComplexPair
     apex: int
     base: OrderedComplex
@@ -520,8 +520,7 @@ def cone(x: OrderedComplex) -> Cone:
     return Cone(ComplexPair(cx, x.all_simplices()), apex, x)
 
 
-@dataclass(frozen=True)
-class SuspensionComplex:
+class SuspensionComplex(NamedTuple):
     complex: OrderedComplex
     base: OrderedComplex
     upper: int
@@ -542,8 +541,7 @@ def suspension(x: OrderedComplex) -> SuspensionComplex:
     return SuspensionComplex(sx, x, upper, lower)
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     complex: OrderedComplex
     base: OrderedComplex
     end0: SimplicialMap
@@ -586,8 +584,7 @@ def cylinder(x: OrderedComplex) -> Cylinder:
     return Cylinder(cx, x, end0, end1, projection)
 
 
-@dataclass(frozen=True)
-class Collapse:
+class Collapse(NamedTuple):
     map: SimplicialMap
     cone: Cone
     boundary: OrderedComplex

@@ -103,8 +103,10 @@ SIZE_BUDGET = 1 << 20
 
 
 def check_budget(log2: int, what: str, budget: int = SIZE_BUDGET) -> None:
-    """Refuse an enumeration of 2^log2 elements larger than budget."""
-    if 1 << log2 > budget:
+    """Refuse an enumeration of 2^log2 elements larger than budget.  For a
+    budget >= 0, 2^log2 > budget exactly when log2 >= budget.bit_length(),
+    so no 2^log2 int is built."""
+    if log2 >= budget.bit_length():
         raise BudgetExceeded(f"2^{log2} {what} exceed the budget {budget}")
 
 

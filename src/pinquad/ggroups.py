@@ -17,14 +17,15 @@ are the sequence's, so they agree with the closed form by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ._gf2 import Echelon, combine, eliminate, nullspace, rank
 from .cochains import (
     Cochain,
+    PIN,
     QMODZ,
+    SPIN,
     Z2,
     coboundary_bits,
     cup_i,
@@ -48,7 +49,9 @@ from .errors import (
     PairMismatch,
     check_budget,
 )
-from .quadratic import PIN, SPIN, QuadraticFunction, eval_quadratic, make_quadratic
+
+if TYPE_CHECKING:
+    from .quadratic import QuadraticFunction
 
 __all__ = [
     "GPair", "g_pair", "g_identity", "g_product", "g_inverse", "g_pullback",
@@ -57,37 +60,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GPair:
-    """A pair (w, p) with dp = 0 and dw = Sq^2 p (scaled by 1/2 for spin)."""
-
+class _GPairFields(NamedTuple):
     pair: ComplexPair
     n: int
     mode: str
     w: Cochain
     p: Cochain
 
-    def __post_init__(self) -> None:
-        n, mode = self.n, self.mode
-        if self.p.degree != n - 1 or self.p.ring != Z2:
+
+class GPair(_GPairFields):
+    """A pair (w, p) with dp = 0 and dw = Sq^2 p (scaled by 1/2 for spin),
+    checked once, when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, pair: ComplexPair, n: int, mode: str, w: Cochain,
+                p: Cochain) -> "GPair":
+        if p.degree != n - 1 or p.ring != Z2:
             raise ValueError("p must be a Z2 cochain of degree n-1")
-        if not self.p.is_relative(self.pair) or not self.w.is_relative(self.pair):
+        if not p.is_relative(pair) or not w.is_relative(pair):
             raise NotRelative("G-pairs are relative cochain pairs")
-        if not d(self.p).is_zero():
+        if not d(p).is_zero():
             raise NotACocycle("dp != 0")
-        sq2 = sq(2, self.p)
+        sq2 = sq(2, p)
         if mode == PIN:
-            if self.w.ring != Z2 or self.w.degree != n:
+            if w.ring != Z2 or w.degree != n:
                 raise ValueError("pin w must be a Z2 cochain of degree n")
-            if d(self.w) != sq2:
+            if d(w) != sq2:
                 raise NotACocycle("dw != Sq^2 p")
         elif mode == SPIN:
-            if self.w.ring != QMODZ or self.w.degree != n:
+            if w.ring != QMODZ or w.degree != n:
                 raise ValueError("spin w must be a QmodZ cochain of degree n")
-            if d(self.w) != embed_z2_qmodz(sq2):
+            if d(w) != embed_z2_qmodz(sq2):
                 raise NotACocycle("dw != (1/2) Sq^2 p")
         else:
             raise ValueError(f"unknown mode {mode!r}")
+        return super().__new__(cls, pair, n, mode, w, p)
 
     def _match(self, other: "GPair") -> None:
         if (self.pair is not other.pair or self.n != other.n
@@ -189,8 +197,7 @@ def qh_sh(pair: ComplexPair, n: int) -> Tuple[int, int, int]:
     return data.qh_dim, data.sh_dim, data.phi_rank
 
 
-@dataclass
-class GGroupStructure:
+class GGroupStructure(NamedTuple):
     """Abelian profile (Z/4)^a + (Z/2)^b with generator certificates."""
 
     n: int
@@ -412,6 +419,8 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
 
 def quad_to_linear(q: QuadraticFunction) -> Callable[[GPair], Fraction]:
     """L_Q(w, p) = Q(p) + (1/2) int w, an R/Z-valued functional on G-pairs."""
+    from .quadratic import eval_quadratic
+
     m = q.manifold
 
     def functional(a: GPair) -> Fraction:
@@ -430,7 +439,7 @@ def quad_to_linear(q: QuadraticFunction) -> Callable[[GPair], Fraction]:
 def linear_to_quad(m: ManifoldPair, mode: str,
                    functional: Callable[[GPair], Fraction]) -> QuadraticFunction:
     """Inverse bridge: read Q off the functional via Q(p_j) = L(0, p_j)."""
-    from .quadratic import quad_context
+    from .quadratic import make_quadratic, quad_context
 
     ctx = quad_context(m)
     pair = m.pair
@@ -446,8 +455,7 @@ def linear_to_quad(m: ManifoldPair, mode: str,
 # -- spin profile -------------------------------------------------------------
 
 
-@dataclass
-class SpinProfile:
+class SpinProfile(NamedTuple):
     """Structural report for G_n^spin: exact-sequence terms, resolved only
     when no divisible summand can occur."""
 

@@ -9,7 +9,6 @@ deliberately wrong sign can be injected as a mutation control.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -17,11 +16,20 @@ from .cochains import Cochain, CohomologySolver, INT, QMODZ, Z2, Z4, cup_i, d, s
 from .complexes import OrderedComplex, absolute_pair, build_complex, cached, suspension
 from .suspension import suspend, suspension_context
 
-@dataclass
+
 class IdentityReport:
-    name: str
-    trials: int
-    failures: List[str] = field(default_factory=list)
+    def __init__(self, name: str, trials: int,
+                 failures: Optional[List[str]] = None) -> None:
+        self.name = name
+        self.trials = trials
+        self.failures: List[str] = [] if failures is None else failures
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is IdentityReport and vars(other) == vars(self)
+
+    def __repr__(self) -> str:
+        return (f"IdentityReport(name={self.name!r}, trials={self.trials!r}, "
+                f"failures={self.failures!r})")
 
     @property
     def ok(self) -> bool:

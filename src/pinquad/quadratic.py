@@ -41,14 +41,15 @@ another basis, through two ``_gf2.solve`` calls.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _gf2
 from .cochains import (
     Cochain,
     CohomologySolver,
+    PIN,
+    SPIN,
     Z2,
     coboundary_bits,
     cup_i,
@@ -91,12 +92,8 @@ from .errors import (
 )
 from .suspension import boundary_transfer
 
-PIN = "pin"
-SPIN = "spin"
 
-
-@dataclass(frozen=True)
-class QuadValue:
+class QuadValue(NamedTuple):
     """A Z/4 value (pin) or a value in 2(Z/2) < Z/4 (spin)."""
 
     mode: str
@@ -350,8 +347,7 @@ def _push(f: SimplicialMap, c: Cochain) -> Cochain:
     return Cochain._of(f.target, c.degree, c.ring, vals)
 
 
-@dataclass
-class SubdivisionTransfer:
+class SubdivisionTransfer(NamedTuple):
     subdivision: Subdivision
     manifold: ManifoldPair
     function: QuadraticFunction
@@ -435,8 +431,7 @@ def submanifold(m: ManifoldPair, top_simplices: Sequence) -> ManifoldPair:
 # -- cylinders -------------------------------------------------------------
 
 
-@dataclass
-class CylinderExtension:
+class CylinderExtension(NamedTuple):
     cylinder: Cylinder
     manifold: ManifoldPair
     function: QuadraticFunction
@@ -537,10 +532,16 @@ def disjoint_sum(q1: QuadraticFunction, q2: QuadraticFunction):
     return mz, qz
 
 
-@dataclass
 class VerifyReport:
-    trials: int
-    failures: List[str] = field(default_factory=list)
+    def __init__(self, trials: int, failures: Optional[List[str]] = None) -> None:
+        self.trials = trials
+        self.failures: List[str] = [] if failures is None else failures
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is VerifyReport and vars(other) == vars(self)
+
+    def __repr__(self) -> str:
+        return f"VerifyReport(trials={self.trials!r}, failures={self.failures!r})"
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,7 @@ e.g. on prism cylinders).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cochains import Cochain, extend_by_zero, d, pullback
 from .complexes import (
@@ -24,8 +24,7 @@ from .complexes import (
 from .errors import ComplexMismatch, EmptyBoundary
 
 
-@dataclass(frozen=True)
-class SuspensionContext:
+class SuspensionContext(NamedTuple):
     """A base complex sitting inside a suspension or upper cone."""
 
     base: OrderedComplex

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -40,13 +39,25 @@ def integer(text: str) -> int:
     return int(text)
 
 
-@dataclass
 class ComplexSpec:
-    dim: Optional[int] = None
-    rank: Dict[int, int] = field(default_factory=dict)
-    maximal: List[Simplex] = field(default_factory=list)
-    boundary: object = "auto"
-    orientation: Optional[Dict[Simplex, int]] = None
+    def __init__(self, dim: Optional[int] = None,
+                 rank: Optional[Dict[int, int]] = None,
+                 maximal: Optional[List[Simplex]] = None,
+                 boundary: object = "auto",
+                 orientation: Optional[Dict[Simplex, int]] = None) -> None:
+        self.dim = dim
+        self.rank: Dict[int, int] = {} if rank is None else rank
+        self.maximal: List[Simplex] = [] if maximal is None else maximal
+        self.boundary = boundary
+        self.orientation = orientation
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ComplexSpec and vars(other) == vars(self)
+
+    def __repr__(self) -> str:
+        return (f"ComplexSpec(dim={self.dim!r}, rank={self.rank!r}, "
+                f"maximal={self.maximal!r}, boundary={self.boundary!r}, "
+                f"orientation={self.orientation!r})")
 
 
 def parse_complex(text: str) -> ComplexSpec:

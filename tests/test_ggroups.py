@@ -20,7 +20,7 @@ from pinquad.cochains import (
 from pinquad.complexes import absolute_pair, build_complex, validate_manifold
 from pinquad.cli import main
 from pinquad import ggroups
-from pinquad.errors import BudgetExceeded, InvariantViolation, NotACocycle, PairMismatch
+from pinquad.errors import BudgetExceeded, InvariantViolation, NotACocycle, PairMismatch, check_budget
 from pinquad.fixtures import TORUS_TRIANGLES, catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.ggroups import (
     GPair,
@@ -209,6 +209,21 @@ class TestOracle:
         with pytest.raises(BudgetExceeded, match=r"^2\^9 pairs exceed the budget 256$"):
             g_pin_bruteforce(torus.pair, 2, size_budget=1 << 8)
         assert g_pin_bruteforce(torus.pair, 2, size_budget=1 << 9).order == 8
+
+    def test_budget_decision_builds_no_power(self):
+        # check_budget decides 2^log2 > budget by bit lengths; the decision is
+        # the power comparison's on every budget >= 0
+        def refused(log2, budget):
+            try:
+                check_budget(log2, "elements", budget)
+            except BudgetExceeded:
+                return True
+            return False
+
+        budgets = {0, 1} | {(1 << k) + e for k in range(1, 72) for e in (-1, 0, 1)}
+        for budget in budgets:
+            for log2 in range(71):
+                assert refused(log2, budget) == (1 << log2 > budget), (log2, budget)
 
     @pytest.mark.parametrize("name,n", [
         ("torus", 1), ("torus", 2), ("klein", 1), ("klein", 2),

@@ -435,6 +435,20 @@ class TestCliNegativeCounts:
         # the option is named, so the refusal comes from the parser
         assert len(errors) == 1 and f"{argv[-2]}: {argv[-1]} is negative" in errors[0]
 
+    @pytest.mark.parametrize("value", ["65", "10000000000"])
+    def test_budget_log2_above_the_cap_is_exit_1(self, value, capsys):
+        argv = ["ggroup", "--fixture", "rp2", "--engine", "bruteforce", "--budget-log2", value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and f"--budget-log2: {value} exceeds the cap 64" in errors[0]
+
+    def test_budget_log2_at_the_cap_runs(self, capsys):
+        argv = ["ggroup", "--fixture", "rp2", "--engine", "bruteforce", "--budget-log2", "64"]
+        assert main(argv) == 0
+        assert "Z/4" in capsys.readouterr().out
+
     def test_zero_trials_still_run(self, capsys):
         assert main(["quad", "verify", "--fixture", "rp2", "--trials", "0"]) == 0
         assert "0 trials: 0 failures" in capsys.readouterr().out
@@ -505,6 +519,26 @@ def test_cli_import_leaves_the_heavy_modules_unloaded():
     assert "pinquad.cli" in proc.stderr
     for name in ("pinquad.ggroups", "pinquad.quadratic", "pinquad.identities"):
         assert name not in proc.stderr
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["info", "--fixture", "rp2"], ("quadratic", "ggroups", "identities", "suspension")),
+    (["quad", "brown", "--fixture", "klein"], ("ggroups", "identities")),
+    (["ggroup", "--fixture", "rp2"], ("quadratic", "identities", "suspension")),
+    (["identities", "--trials", "1"], ("quadratic", "ggroups")),
+], ids=["info", "quad", "ggroup", "identities"])
+def test_each_command_imports_only_its_modules(argv, unused):
+    # the records are NamedTuples or plain classes, so no command pays for
+    # dataclasses (inspect, ast, ...), and ggroup reaches quadratic only
+    # through the bridge functions
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pinquad.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "pinquad.cochains" in imported
+    assert "dataclasses" not in imported
+    assert not imported & {f"pinquad.{name}" for name in unused}
 
 
 def test_every_export_resolves():
