@@ -116,12 +116,17 @@ class Echelon:
 
 
 def combine(cols: Sequence[int], bits: int) -> int:
-    """XOR of cols[j] over the set bits j of bits."""
+    """XOR of cols[j] over the set bits j of bits.
+
+    Walks down from the top bit, whose index ``bit_length`` reads in O(1),
+    so the mask narrows as it goes; clearing the lowest bit instead keeps
+    it at full width and allocates ``-bits`` as wide at every step.
+    """
     out = 0
     while bits:
-        low = bits & -bits
-        out ^= cols[low.bit_length() - 1]
-        bits ^= low
+        j = bits.bit_length() - 1
+        out ^= cols[j]
+        bits ^= 1 << j
     return out
 
 

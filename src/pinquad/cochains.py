@@ -396,6 +396,37 @@ def cup_table(m: ManifoldPair, cocycles: Sequence[Cochain], i: int,
     return table
 
 
+def sq2_table(m: ManifoldPair) -> List[int]:
+    """int Sq^2 c = int (c u_{n-4} c + c u_{n-3} dc) of an n-manifold's
+    relative (n-2)-cochains c as a bilinear form in c and (c, dc).
+
+    Row e, one per relative (n-2)-simplex, holds bit f when int(e* u_{n-4}
+    f*) = 1, for f a relative (n-2)-simplex, and bit shift + g when
+    int(e* u_{n-3} g*) = 1, for g a relative (n-1)-simplex, where shift =
+    len(rows).  So int Sq^2 c is the parity of
+    ``combine(rows, c) & (c | dc << shift)``.  Each term of the two integrals
+    is c on the even face of a top simplex times c or dc on the odd face,
+    over the cut patterns of each product, and one walk over the top
+    simplices visits them all; faces in the subcomplex carry no relative
+    cochain and are skipped.
+    """
+    n = m.n
+    lower, upper = _index(m.pair, n - 2), _index(m.pair, n - 1)
+    shift = len(lower)
+    faces = [(even, odd, lower, 0) for even, odd, _ in _cut_patterns(n - 2, n - 2, n - 4)]
+    faces += [(even, odd, upper, shift) for even, odd, _ in _cut_patterns(n - 2, n - 1, n - 3)]
+    rows = [0] * shift
+    for s in m.complex.simplices(n):
+        for even, odd, idx, offset in faces:
+            e = lower.get(even(s))
+            if e is None:
+                continue
+            f = idx.get(odd(s))
+            if f is not None:
+                rows[e] ^= 1 << (offset + f)
+    return rows
+
+
 def cup(u: Cochain, v: Cochain) -> Cochain:
     return cup_i(u, v, 0)
 
@@ -512,7 +543,11 @@ class CohomologySolver:
             raise ComplexMismatch("cocycle lives on a different complex")
         if p.degree != self.degree:
             raise ValueError("wrong degree")
-        bits = to_bits(self.pair, p)
+        return self._decompose_cocycle_bits(to_bits(self.pair, p))
+
+    def _decompose_cocycle_bits(self, bits: int) -> Tuple[int, int, int]:
+        """``_decompose_bits`` of a k-cochain already given as bits over the
+        relative k-simplices, with the same three checks."""
         if combine(coboundary_bits(self.pair, self.degree), bits):
             raise NotACocycle("dp != 0")
         r, track = self._ech.reduce(bits)

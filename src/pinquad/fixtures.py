@@ -24,7 +24,6 @@ cp2 is the one catalog entry admitting no quadratic functions.
 from __future__ import annotations
 
 import itertools
-from importlib import resources
 from typing import Dict, Tuple
 
 from .complexes import (
@@ -137,6 +136,10 @@ def _build(name: str) -> ManifoldPair:
         sd = barycentric_subdivide(tube.complex)
         return validate_manifold(sd.complex, 3)
     if name == "cp2":
+        # importlib.resources (pathlib, tempfile, zipfile) is most of this
+        # module's import time, and only cp2 reads a data file
+        from importlib import resources
+
         text = resources.files("pinquad.data").joinpath("cp2_9.txt").read_text()
         return manifold_from_text(text)
     raise UnknownFixture(name)

@@ -11,23 +11,29 @@ left-to-right over the support, then absorb the coboundary with the second
 law.  Well-definedness (certificate and fold-order independence) needs the
 degree-2 Wu class of M to vanish, which construction enforces.
 
-Every table a manifold's context keeps (``_Context``) is a value of
-int x u_{n-2} y, or of u_0 against edges, on the basis p_j, read off
+Every table a manifold's context builds with it (``_Context``) is a value
+of int x u_{n-2} y, or of u_0 against edges, on the basis p_j, read off
 ``cochains.cup_table`` once per manifold: the cup rows against the
 relative (n-1)-simplices, the cross table, the Sq^1 parities, which are
 its diagonal because Sq^1 p = p u_{n-2} p + p u_{n-1} dp and dp = 0 on a
-cocycle, and the pairing rows of the H^1 action and ``v1_witness``.
+cocycle, and the pairing rows of the H^1 action and ``v1_witness``.  The
+Sq^2 rows, which do not involve the basis, come later, from the first
+evaluation that needs them.
 
-Evaluation runs on bits.  ``CohomologySolver._decompose_bits`` returns the
-coordinates a, the certificate c and its coboundary dc, which the
-solver's identity check computes anyway.  The correction term
-int x u_{n-2} dc is linear in x = sum a_j p_j, so it is the parity of
-(sum a_j row_j) & dc.  Only the two terms quadratic in c, nonzero from
-dimension 3 on, build cochains: c and dc once each, and one integral of
-c u_{n-4} c + c u_{n-3} dc.  ``verify_axioms`` draws its cocycles as bits,
-sum a_j p_j plus the coboundary of a random relative cochain, and makes
-each a Cochain once.  It checks the laws with ``cup_i`` and ``sq`` on the
-right-hand sides, so it does not share the tables it would have to catch.
+Evaluation runs on bits and builds no cochain.
+``CohomologySolver._decompose_bits`` returns the coordinates a, the
+certificate c and its coboundary dc, which the solver's identity check
+computes anyway; ``_decompose_cocycle_bits`` does the same for a cocycle
+already in bits.  The correction term int x u_{n-2} dc is linear in
+x = sum a_j p_j, so it is the parity of (sum a_j row_j) & dc.  The two
+terms quadratic in c, nonzero from dimension 3 on, make int Sq^2 c, the
+parity of ``combine(sq2_rows, c) & (c | dc << shift)`` over the rows of
+``cochains.sq2_table``, built on the first such evaluation.
+``verify_axioms`` draws its cocycles as bits, sum a_j p_j plus the
+coboundary of a random relative cochain, and evaluates the left-hand sides
+on those bits.  It checks the laws with ``cup_i`` and ``sq`` of Cochains on
+the right-hand sides, so it does not share the tables it would have to
+catch.
 
 Q moves between manifolds through three primitives.  ``_restrict(q,
 target, transfer)`` reads Q off the basis of target through a cochain
@@ -61,6 +67,7 @@ from .cochains import (
     pullback,
     solver,
     sq,
+    sq2_table,
     to_bits,
     wu_v2_check,
 )
@@ -116,6 +123,11 @@ class _Context:
     - ``cross[l][j]``: int(p_l u_{n-2} p_j), the parity of row l on p_j.
     - ``sq1[j]``: int(Sq^1 p_j) = cross[j][j], since Sq^1 p = p u_{n-2} p
       + p u_{n-1} dp and dp = 0.
+
+    From dimension 3 on, evaluation also reads ``sq2_rows``, the rows of
+    ``cochains.sq2_table``.  They do not depend on the basis, cost more
+    than the four tables together, and serve only coboundaries, so they
+    are built on the first evaluation with dc != 0 and are None until then.
     """
 
     def __init__(self, m: ManifoldPair) -> None:
@@ -141,6 +153,7 @@ class _Context:
         self.cross = [[bin(row & p).count("1") % 2 for p in self.solver._rep_bits]
                       for row in self.rows]
         self.sq1 = tuple(row[j] for j, row in enumerate(self.cross))
+        self.sq2_rows: Optional[List[int]] = None
 
 
 def quad_context(m: ManifoldPair) -> _Context:
@@ -227,8 +240,8 @@ def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int
     Q(x) folds the sum law over the support of a.  The coboundary adds
     2 int (c u_{n-4} c + c u_{n-3} dc + x u_{n-2} dc), nothing when dc = 0.
     The last term is linear in x, so it is read off the context's rows
-    as the parity of (sum a_j row_j) & dc; the two terms quadratic in c
-    are cup products, both zero below dimension 3.
+    as the parity of (sum a_j row_j) & dc.  The two terms quadratic in c
+    make int Sq^2 c, zero below dimension 3, read off ``sq2_rows``.
     """
     val = 0
     support = [j for j in range(len(values)) if (coords >> j) & 1]
@@ -238,12 +251,11 @@ def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int
             val += 2 * ctx.cross[l][j]
     if dpre:
         val += 2 * bin(_gf2.combine(ctx.rows, coords) & dpre).count("1")
-        m = ctx.manifold
-        n = m.n
-        if n >= 3:
-            c = from_bits(m.pair, n - 2, pre)
-            dc = from_bits(m.pair, n - 1, dpre)
-            val += 2 * integrate(m, cup_i(c, c, n - 4) + cup_i(c, dc, n - 3))
+        if ctx.manifold.n >= 3:
+            if ctx.sq2_rows is None:
+                ctx.sq2_rows = sq2_table(ctx.manifold)
+            table = ctx.sq2_rows
+            val += 2 * bin(_gf2.combine(table, pre) & (pre | dpre << len(table))).count("1")
     return val % 4
 
 
@@ -251,6 +263,13 @@ def eval_quadratic(q: QuadraticFunction, p: Cochain) -> QuadValue:
     """Evaluate on a relative (n-1)-cocycle over Z2."""
     coords, pre, dpre = q.solver._decompose_bits(p)
     return QuadValue(q.mode, _fold(q.ctx, coords, q.basis_values, pre, dpre))
+
+
+def _eval_bits(q: QuadraticFunction, bits: int) -> int:
+    """Q mod 4 of a relative (n-1)-cocycle given as bits over the relative
+    (n-1)-simplices."""
+    coords, pre, dpre = q.solver._decompose_cocycle_bits(bits)
+    return _fold(q.ctx, coords, q.basis_values, pre, dpre)
 
 
 def act(q: QuadraticFunction, a: Cochain) -> QuadraticFunction:
@@ -553,37 +572,51 @@ def random_relative_cochain(rng: random.Random, m: ManifoldPair, k: int) -> Coch
         s: 1 for s in m.pair.relative_simplices(k) if rng.random() < 0.5})
 
 
-def random_relative_cocycle(rng: random.Random, q: QuadraticFunction) -> Cochain:
-    """sum a_j p_j + dc for random a and c, added as bits."""
+def _random_cocycle_bits(rng: random.Random, q: QuadraticFunction) -> int:
+    """sum a_j p_j + dc for random a and c, as bits over the relative
+    (n-1)-simplices."""
     m = q.manifold
     bits = q.solver._cocycle_bits(sum(rng.randint(0, 1) << j for j in range(q.solver.dim)))
     if m.n >= 2:
         c = random_relative_cochain(rng, m, m.n - 2)
         bits ^= _gf2.combine(coboundary_bits(m.pair, m.n - 2), to_bits(m.pair, c))
-    return from_bits(m.pair, m.n - 1, bits)
+    return bits
+
+
+def random_relative_cocycle(rng: random.Random, q: QuadraticFunction) -> Cochain:
+    """sum a_j p_j + dc for random a and c."""
+    m = q.manifold
+    return from_bits(m.pair, m.n - 1, _random_cocycle_bits(rng, q))
 
 
 def verify_axioms(q: QuadraticFunction, trials: int = 100,
                   seed: int = 0) -> VerifyReport:
-    """Randomized check of both defining conditions."""
+    """Randomized check of both defining conditions.
+
+    The left-hand sides are evaluated on the bits the cocycles are drawn
+    as; the right-hand sides are ``cup_i`` and ``sq`` of Cochains, so they
+    share none of the tables evaluation reads.
+    """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     rng = random.Random(seed)
     m = q.manifold
     n = m.n
+    pair = m.pair
     report = VerifyReport(trials)
     for t in range(trials):
-        p1 = random_relative_cocycle(rng, q)
-        p2 = random_relative_cocycle(rng, q)
-        lhs = eval_quadratic(q, p1 + p2).z4
+        b1 = _random_cocycle_bits(rng, q)
+        b2 = _random_cocycle_bits(rng, q)
+        lhs = _eval_bits(q, b1 ^ b2)
+        p1, p2 = from_bits(pair, n - 1, b1), from_bits(pair, n - 1, b2)
         cross = integrate(m, cup_i(p1, p2, n - 2)) % 2
-        rhs = (eval_quadratic(q, p1).z4 + eval_quadratic(q, p2).z4 + 2 * cross) % 4
+        rhs = (_eval_bits(q, b1) + _eval_bits(q, b2) + 2 * cross) % 4
         if lhs != rhs:
             report.failures.append(f"trial {t}: sum law fails")
             continue
         if n >= 2:
             c = random_relative_cochain(rng, m, n - 2)
-            lhs2 = eval_quadratic(q, d(c)).z4
+            lhs2 = _eval_bits(q, _gf2.combine(coboundary_bits(pair, n - 2), to_bits(pair, c)))
             rhs2 = (2 * (integrate(m, sq(2, c)) % 2)) % 4
             if lhs2 != rhs2:
                 report.failures.append(f"trial {t}: coboundary law fails")

@@ -16,7 +16,7 @@ from itertools import combinations
 from operator import xor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinquad._gf2 import (
@@ -107,6 +107,23 @@ def test_solve_finds_a_solution_exactly_when_one_exists(case):
         assert x is not None and xor_of(rows, x) == target
     else:
         assert x is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2000).flatmap(lambda w: st.tuples(
+    st.just(w), st.integers(0, (1 << w) - 1), st.booleans(), st.integers(0, 2 ** 32 - 1))))
+@example((0, 0, False, 0))
+@example((2000, 1 << 1999, True, 1))
+def test_combine_is_the_xor_over_the_set_bits(case):
+    # combine walks down from the top bit; the reference reads the set bits
+    # off bin() from the low end
+    width, bits, top, seed = case
+    if top and width:
+        bits |= 1 << (width - 1)
+    rng = random.Random(seed)
+    cols = [rng.getrandbits(96) for _ in range(width)]
+    set_bits = [j for j, digit in enumerate(reversed(bin(bits)[2:])) if digit == "1"]
+    assert combine(cols, bits) == reduce(xor, (cols[j] for j in set_bits), 0)
 
 
 @settings(max_examples=200, deadline=None)

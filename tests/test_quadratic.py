@@ -11,9 +11,12 @@ from pinquad.cochains import (
     cup_i,
     d,
     dual_cochain,
+    from_bits,
     integrate,
     pullback,
     sq,
+    sq2_table,
+    to_bits,
     zero_cochain,
 )
 from pinquad.complexes import (
@@ -643,6 +646,26 @@ class TestVerify:
             for q in enumerate_quadratics(m, PIN):
                 assert verify_axioms(q, 60, seed=6).ok
 
+    def test_zeroed_sq2_rows_detected_on_three_and_four_manifolds(
+            self, rp2, torus, klein, mobius, solid_torus, monkeypatch):
+        # int Sq^2 c is read off sq2_rows from dimension 3 on, and the
+        # coboundary law checks it against sq, so zeroed rows are caught
+        # there; surfaces never read them
+        higher = (solid_torus, catalog("sphere4"))
+        surfaces = (rp2, torus, klein, mobius)
+        for m in higher:
+            for q in enumerate_quadratics(m, PIN):
+                assert verify_axioms(q, 60, seed=6).ok
+        for m in higher + surfaces:
+            zeroed = [0] * len(m.pair.relative_simplices(m.n - 2))
+            monkeypatch.setattr(quad_context(m), "sq2_rows", zeroed)
+        for m in higher:
+            for q in enumerate_quadratics(m, PIN):
+                assert not verify_axioms(q, 60, seed=6).ok
+        for m in surfaces:
+            for q in enumerate_quadratics(m, PIN):
+                assert verify_axioms(q, 60, seed=6).ok
+
     def test_negative_trials_are_refused(self, rp2):
         q = enumerate_quadratics(rp2, PIN)[0]
         with pytest.raises(ValueError):
@@ -711,6 +734,31 @@ def test_cup_rows_annihilate_d0_on_surfaces(name):
             assert bin(row & column).count("1") % 2 == 0
 
 
+@pytest.mark.parametrize("name", ("sphere3", "sphere4", "disk3", "solid_torus", "cp2"))
+def test_sq2_rows_match_cup_products(name):
+    m = catalog(name)
+    n = m.n
+    rows = sq2_table(m)
+    lower = m.pair.relative_simplices(n - 2)
+    upper = m.pair.relative_simplices(n - 1)
+    assert len(rows) == len(lower)
+    if len(lower) < 50:  # every entry, against cup_i of the duals
+        for k, e in enumerate(lower):
+            e_star = dual_cochain(m.complex, e)
+            for shift, faces, i in ((0, lower, n - 4), (len(lower), upper, n - 3)):
+                for j, f in enumerate(faces):
+                    want = integrate(m, cup_i(e_star, dual_cochain(m.complex, f), i))
+                    assert (rows[k] >> (shift + j)) & 1 == want, (e, f, i)
+    # the form they make is int Sq^2 c
+    rng = random.Random(3)
+    cob = coboundary_bits(m.pair, n - 2)
+    for _ in range(30):
+        c = to_bits(m.pair, random_relative_cochain(rng, m, n - 2))
+        dc = _gf2.combine(cob, c)
+        got = bin(_gf2.combine(rows, c) & (c | dc << len(rows))).count("1") % 2
+        assert got == integrate(m, sq(2, from_bits(m.pair, n - 2, c)))
+
+
 def test_g_pin_then_quad_context_builds_each_degree_once(monkeypatch):
     from pinquad.ggroups import g_pin
 
@@ -753,3 +801,21 @@ class TestFoldOnAThreeManifold:
             assert eval_quadratic(q, d(c)).z4 == 2 * term
             assert term == integrate(solid_torus, sq(2, c))
         assert odd
+
+
+class TestFoldOnAFourManifold:
+    def test_coboundary_law_needs_both_sq2_terms(self):
+        # on a 4-manifold Q(dc) = 2 int (c u_0 c + c u_1 dc), and sphere4 is
+        # the one catalog manifold where the first term is nonzero; draw until
+        # each term is odd at least once
+        sphere4 = catalog("sphere4")
+        q = enumerate_quadratics(sphere4, PIN)[0]
+        rng = random.Random(11)
+        odd = [0, 0]
+        for _ in range(12):
+            c = random_relative_cochain(rng, sphere4, 2)
+            terms = (integrate(sphere4, cup_i(c, c, 0)), integrate(sphere4, cup_i(c, d(c), 1)))
+            odd[0] += terms[0]
+            odd[1] += terms[1]
+            assert eval_quadratic(q, d(c)).z4 == 2 * sum(terms) % 4
+        assert all(odd)

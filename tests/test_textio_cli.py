@@ -521,17 +521,18 @@ def test_cli_import_leaves_the_heavy_modules_unloaded():
         assert name not in proc.stderr
 
 
-@pytest.mark.parametrize("argv,unused", [
-    (["info", "--fixture", "rp2"], ("quadratic", "ggroups", "identities", "suspension")),
-    (["quad", "brown", "--fixture", "klein"], ("ggroups", "identities")),
-    (["ggroup", "--fixture", "rp2"], ("quadratic", "identities", "suspension")),
-    (["identities", "--trials", "1"], ("quadratic", "ggroups")),
-], ids=["info", "quad", "ggroup", "identities"])
-def test_each_command_imports_only_its_modules(argv, unused):
+@pytest.mark.parametrize("flags,argv,unused", [
+    ([], ["info", "--fixture", "rp2"], ("quadratic", "ggroups", "identities", "suspension")),
+    ([], ["quad", "brown", "--fixture", "klein"], ("ggroups", "identities")),
+    ([], ["ggroup", "--fixture", "rp2"], ("quadratic", "identities", "suspension")),
+    ([], ["identities", "--trials", "1"], ("quadratic", "ggroups")),
+    (["-S"], ["info", "--fixture", "rp2"], ("quadratic", "ggroups", "identities", "suspension")),
+], ids=["info", "quad", "ggroup", "identities", "info-S"])
+def test_each_command_imports_only_its_modules(flags, argv, unused):
     # the records are NamedTuples or plain classes, so no command pays for
     # dataclasses (inspect, ast, ...), and ggroup reaches quadratic only
     # through the bridge functions
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pinquad.cli"] + argv,
+    proc = subprocess.run([sys.executable, *flags, "-X", "importtime", "-m", "pinquad.cli"] + argv,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
@@ -539,6 +540,10 @@ def test_each_command_imports_only_its_modules(argv, unused):
     assert "pinquad.cochains" in imported
     assert "dataclasses" not in imported
     assert not imported & {f"pinquad.{name}" for name in unused}
+    if "-S" in flags:
+        # with no site hook importing it first, only cp2 loads
+        # importlib.resources (pathlib, tempfile, zipfile)
+        assert "importlib.resources" not in imported
 
 
 def test_every_export_resolves():
