@@ -286,11 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, fixture=True):
         if fixture:
-            p.add_argument("--fixture", choices=CATALOG_NAMES, default=None)
-            p.add_argument("--complex", default=None, help="complex text file")
-            p.add_argument("--pair", default=None,
-                           help="complex text file whose boundary lines define "
-                                "the subcomplex")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--fixture", choices=CATALOG_NAMES, default=None)
+            source.add_argument("--complex", default=None, help="complex text file")
+            source.add_argument("--pair", default=None,
+                                help="complex text file whose boundary lines define "
+                                     "the subcomplex")
         p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p = sub.add_parser("info", help="f-vector, manifold and orientation status")

@@ -29,7 +29,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._gf2 import combine, low_bit, nullspace_and_top_bits, representatives, top_bits
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached, cofaces
@@ -364,67 +364,30 @@ def cup_i(u: Cochain, v: Cochain, i: int) -> Cochain:
     return Cochain._of(x, p + q - i, u.ring, vals)
 
 
-def cup_table(m: ManifoldPair, cocycles: Sequence[Cochain], i: int,
-              left: bool) -> Dict[Simplex, int]:
-    """The cup_i pairing of an n-manifold's (n-1)-cocycles p_j with the
-    duals of its (i+1)-simplices, one entry per simplex e with bits set:
-    bit j of entry e is int(p_j u_i e*) when ``left``, else int(e* u_i p_j).
+def cup_form(m: ManifoldPair, p: int, i: int,
+             tops: Optional[Iterable[Simplex]] = None) -> Dict[Simplex, int]:
+    """The cup_i form of an n-manifold between p-simplices and relative
+    (n+i-p)-simplices: the entry of a p-simplex s holds bit k when
+    int(s* u_i t_k*) = 1, for t_k the k-th relative (n+i-p)-simplex in
+    canonical order.
 
-    Each term of the integral is p_j on one face of a top simplex times e*
-    on the other, over the cut patterns of u_i, so the bits of the p_j at
-    one face are summed onto the other.  As in ``cup_i``, only the top
-    simplices above the supports are visited.
+    Each term of the integral is the even face of a top simplex against its
+    odd face, over the cut patterns of u_i, so one walk over the top
+    simplices visits them all.  Given ``tops``, only those are walked, and
+    an entry counts only their terms: it is exact at s, or at bit k, when
+    every top simplex above s, or above t_k, is given, as ``cup_i`` walks
+    only those above a support.
     """
-    n = m.n
-    at: Dict[Simplex, int] = {}
-    for j, p in enumerate(cocycles):
-        for s in p.values:
-            at[s] = at.get(s, 0) ^ (1 << j)
-    up = cofaces(m.complex, n - 1)
-    tops = {tau for s in at for tau in up[s][1:]}
-    if left:
-        faces = [(even, odd) for even, odd, _ in _cut_patterns(n - 1, i + 1, i)]
-    else:
-        faces = [(odd, even) for even, odd, _ in _cut_patterns(i + 1, n - 1, i)]
-    table: Dict[Simplex, int] = {}
-    for s in tops:
-        for p_face, e_face in faces:
-            bits = at.get(p_face(s))
-            if bits:
-                e = e_face(s)
-                table[e] = table.get(e, 0) ^ bits
-    return table
-
-
-def sq2_table(m: ManifoldPair) -> List[int]:
-    """int Sq^2 c = int (c u_{n-4} c + c u_{n-3} dc) of an n-manifold's
-    relative (n-2)-cochains c as a bilinear form in c and (c, dc).
-
-    Row e, one per relative (n-2)-simplex, holds bit f when int(e* u_{n-4}
-    f*) = 1, for f a relative (n-2)-simplex, and bit shift + g when
-    int(e* u_{n-3} g*) = 1, for g a relative (n-1)-simplex, where shift =
-    len(rows).  So int Sq^2 c is the parity of
-    ``combine(rows, c) & (c | dc << shift)``.  Each term of the two integrals
-    is c on the even face of a top simplex times c or dc on the odd face,
-    over the cut patterns of each product, and one walk over the top
-    simplices visits them all; faces in the subcomplex carry no relative
-    cochain and are skipped.
-    """
-    n = m.n
-    lower, upper = _index(m.pair, n - 2), _index(m.pair, n - 1)
-    shift = len(lower)
-    faces = [(even, odd, lower, 0) for even, odd, _ in _cut_patterns(n - 2, n - 2, n - 4)]
-    faces += [(even, odd, upper, shift) for even, odd, _ in _cut_patterns(n - 2, n - 1, n - 3)]
-    rows = [0] * shift
-    for s in m.complex.simplices(n):
-        for even, odd, idx, offset in faces:
-            e = lower.get(even(s))
-            if e is None:
-                continue
-            f = idx.get(odd(s))
-            if f is not None:
-                rows[e] ^= 1 << (offset + f)
-    return rows
+    idx = _index(m.pair, m.n + i - p)
+    faces = [(even, odd) for even, odd, _ in _cut_patterns(p, m.n + i - p, i)]
+    form: Dict[Simplex, int] = {}
+    for s in m.complex.simplices(m.n) if tops is None else tops:
+        for even, odd in faces:
+            k = idx.get(odd(s))
+            if k is not None:
+                e = even(s)
+                form[e] = form.get(e, 0) ^ (1 << k)
+    return form
 
 
 def cup(u: Cochain, v: Cochain) -> Cochain:

@@ -281,9 +281,13 @@ def run_suites(trials: int = 1000, seed: int = 0,
     suspension suites fail."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    names = names or ALL_SUITES
+    for name in names:
+        if name not in _SUITES:
+            raise ValueError(f"unknown suite {name!r}; the suites are {', '.join(ALL_SUITES)}")
     cup = _mutant_cup if mutate_signs else cup_i
     out = []
-    for name in names or ALL_SUITES:
+    for name in names:
         out.append(_SUITES[name](trials=trials, seed=seed, cup=cup))
     return out
 

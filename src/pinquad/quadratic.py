@@ -11,14 +11,11 @@ left-to-right over the support, then absorb the coboundary with the second
 law.  Well-definedness (certificate and fold-order independence) needs the
 degree-2 Wu class of M to vanish, which construction enforces.
 
-Every table a manifold's context builds with it (``_Context``) is a value
-of int x u_{n-2} y, or of u_0 against edges, on the basis p_j, read off
-``cochains.cup_table`` once per manifold: the cup rows against the
-relative (n-1)-simplices, the cross table, the Sq^1 parities, which are
-its diagonal because Sq^1 p = p u_{n-2} p + p u_{n-1} dp and dp = 0 on a
-cocycle, and the pairing rows of the H^1 action and ``v1_witness``.  The
-Sq^2 rows, which do not involve the basis, come later, from the first
-evaluation that needs them.
+Every table of a manifold's context (``_Context``) is read off the cup_i
+forms of ``cochains.cup_form``: the cup rows, the cross table and the Sq^1
+parities off the (n-1, n-2) form, the pairing rows of the H^1 action and
+``v1_witness`` off the (1, 0) form, and the Sq^2 rows, built on the first
+evaluation that needs them, off the (n-2, n-4) and (n-2, n-3) forms.
 
 Evaluation runs on bits and builds no cochain.
 ``CohomologySolver._decompose_bits`` returns the coordinates a, the
@@ -27,8 +24,7 @@ computes anyway; ``_decompose_cocycle_bits`` does the same for a cocycle
 already in bits.  The correction term int x u_{n-2} dc is linear in
 x = sum a_j p_j, so it is the parity of (sum a_j row_j) & dc.  The two
 terms quadratic in c, nonzero from dimension 3 on, make int Sq^2 c, the
-parity of ``combine(sq2_rows, c) & (c | dc << shift)`` over the rows of
-``cochains.sq2_table``, built on the first such evaluation.
+parity of ``combine(sq2_rows, c) & (c | dc << len(sq2_rows))``.
 ``verify_axioms`` draws its cocycles as bits, sum a_j p_j plus the
 coboundary of a random relative cochain, and evaluates the left-hand sides
 on those bits.  It checks the laws with ``cup_i`` and ``sq`` of Cochains on
@@ -48,6 +44,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _gf2
@@ -58,8 +56,8 @@ from .cochains import (
     SPIN,
     Z2,
     coboundary_bits,
+    cup_form,
     cup_i,
-    cup_table,
     d,
     extend_by_zero,
     from_bits,
@@ -67,7 +65,6 @@ from .cochains import (
     pullback,
     solver,
     sq,
-    sq2_table,
     to_bits,
     wu_v2_check,
 )
@@ -79,6 +76,7 @@ from .complexes import (
     barycentric_subdivide,
     build_complex,
     cached,
+    cofaces,
     cylinder,
     disjoint_union,
     validate_manifold,
@@ -113,21 +111,24 @@ class QuadValue(NamedTuple):
 
 class _Context:
     """Per-manifold data shared by every quadratic function on it: the
-    solver of H^{n-1}(M, bd M) and four tables over its basis p_j, all read
-    off ``cochains.cup_table``.
+    solver of H^{n-1}(M, bd M) and four tables over its basis p_j.  Two
+    ``cochains.cup_form`` walks over the top simplices above the basis give
+    them.
 
     - ``rows[j]``: the relative (n-1)-simplices e with int(p_j u_{n-2} e*)
-      = 1, as bits in canonical order.
+      = 1, as bits in canonical order: the XOR of the (n-1, n-2) form's
+      entries over supp(p_j).
     - ``pairing[e]``: for every edge e in canonical order, the bits j with
-      int(e* u_0 p_j) = 1.
+      int(e* u_0 p_j) = 1: the parities of the (1, 0) form's entry of e
+      against each p_j.
     - ``cross[l][j]``: int(p_l u_{n-2} p_j), the parity of row l on p_j.
     - ``sq1[j]``: int(Sq^1 p_j) = cross[j][j], since Sq^1 p = p u_{n-2} p
       + p u_{n-1} dp and dp = 0.
 
-    From dimension 3 on, evaluation also reads ``sq2_rows``, the rows of
-    ``cochains.sq2_table``.  They do not depend on the basis, cost more
-    than the four tables together, and serve only coboundaries, so they
-    are built on the first evaluation with dc != 0 and are None until then.
+    From dimension 3 on, evaluation also reads ``sq2_rows`` of
+    ``_sq2_rows``.  They do not depend on the basis, cost more than the
+    four tables together, and serve only coboundaries, so they are built on
+    the first evaluation with dc != 0 and are None until then.
     """
 
     def __init__(self, m: ManifoldPair) -> None:
@@ -138,22 +139,26 @@ class _Context:
             raise WuObstruction(witness)
         self.manifold = m
         self.solver = solver(m.pair, m.n - 1)
-        basis = self.solver.basis
-        n = m.n
-        below = cup_table(m, basis, n - 2, left=True)
-        self.rows = [0] * len(basis)
-        for k, e in enumerate(m.pair.relative_simplices(n - 1)):
-            bits = below.get(e, 0)
-            while bits:
-                j = _gf2.low_bit(bits)
-                bits &= bits - 1
-                self.rows[j] |= 1 << k
-        pairing = cup_table(m, basis, 0, left=False)
+        basis, reps = self.solver.basis, self.solver._rep_bits
+        up = cofaces(m.complex, m.n - 1)
+        tops = {tau for p in basis for s in p.values for tau in up[s][1:]}
+        below = cup_form(m, m.n - 1, m.n - 2, tops)
+        self.rows = [reduce(xor, (below.get(s, 0) for s in p.values), 0) for p in basis]
+        pairing = {e: sum(((bits & r).bit_count() & 1) << j for j, r in enumerate(reps))
+                   for e, bits in cup_form(m, 1, 0, tops).items()}
         self.pairing = [pairing.get(e, 0) for e in m.complex.simplices(1)]
-        self.cross = [[bin(row & p).count("1") % 2 for p in self.solver._rep_bits]
-                      for row in self.rows]
+        self.cross = [[bin(row & r).count("1") % 2 for r in reps] for row in self.rows]
         self.sq1 = tuple(row[j] for j, row in enumerate(self.cross))
         self.sq2_rows: Optional[List[int]] = None
+
+
+def _sq2_rows(m: ManifoldPair) -> List[int]:
+    """int Sq^2 c = int (c u_{n-4} c + c u_{n-3} dc) as a form in c and
+    (c, dc): row e, one per relative (n-2)-simplex, joins e's entries of the
+    (n-2, n-4) and the (n-2, n-3) cup forms, the second shifted by len(rows)."""
+    lower = m.pair.relative_simplices(m.n - 2)
+    square, mixed = cup_form(m, m.n - 2, m.n - 4), cup_form(m, m.n - 2, m.n - 3)
+    return [square.get(e, 0) | mixed.get(e, 0) << len(lower) for e in lower]
 
 
 def quad_context(m: ManifoldPair) -> _Context:
@@ -241,7 +246,8 @@ def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int
     2 int (c u_{n-4} c + c u_{n-3} dc + x u_{n-2} dc), nothing when dc = 0.
     The last term is linear in x, so it is read off the context's rows
     as the parity of (sum a_j row_j) & dc.  The two terms quadratic in c
-    make int Sq^2 c, zero below dimension 3, read off ``sq2_rows``.
+    make int Sq^2 c, zero below dimension 3, read off ``sq2_rows``, the
+    joined (n-2, n-4) and (n-2, n-3) cup forms of ``_sq2_rows``.
     """
     val = 0
     support = [j for j in range(len(values)) if (coords >> j) & 1]
@@ -253,7 +259,7 @@ def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int
         val += 2 * bin(_gf2.combine(ctx.rows, coords) & dpre).count("1")
         if ctx.manifold.n >= 3:
             if ctx.sq2_rows is None:
-                ctx.sq2_rows = sq2_table(ctx.manifold)
+                ctx.sq2_rows = _sq2_rows(ctx.manifold)
             table = ctx.sq2_rows
             val += 2 * bin(_gf2.combine(table, pre) & (pre | dpre << len(table))).count("1")
     return val % 4

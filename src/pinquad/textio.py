@@ -39,6 +39,14 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def _vertex(text: str) -> int:
+    """A vertex of a complex file, which is a nonnegative integer."""
+    v = integer(text)
+    if v < 0:
+        raise ValueError(f"vertex {v} is negative")
+    return v
+
+
 class ComplexSpec:
     def __init__(self, dim: Optional[int] = None,
                  rank: Optional[Dict[int, int]] = None,
@@ -75,19 +83,19 @@ def parse_complex(text: str) -> ComplexSpec:
             if key == "dim":
                 spec.dim = integer(args[0])
             elif key == "rank":
-                spec.rank[integer(args[0])] = integer(args[1])
+                spec.rank[_vertex(args[0])] = integer(args[1])
             elif key == "simplex":
-                spec.maximal.append(tuple(map(integer, args)))
+                spec.maximal.append(tuple(map(_vertex, args)))
             elif key == "boundary":
                 saw_boundary = True
                 if args == ["auto"]:
                     pass
                 else:
-                    explicit_boundary.append(tuple(map(integer, args)))
+                    explicit_boundary.append(tuple(map(_vertex, args)))
                     named.append((lineno, raw, explicit_boundary[-1]))
             elif key == "orient":
                 sign = {"+1": 1, "1": 1, "-1": -1}[args[-1]]
-                simplex = tuple(map(integer, args[:-1]))
+                simplex = tuple(map(_vertex, args[:-1]))
                 if spec.orientation is None:
                     spec.orientation = {}
                 spec.orientation[simplex] = sign

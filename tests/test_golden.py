@@ -5,7 +5,10 @@ G^pin generators and v1 witnesses bit for bit, so a refactor of the GF(2)
 layer that changes a pivot choice or a column order shows up here.  They
 also pin the values of quadratic functions on seeded cocycles and the basis
 values of their subdivision transfers, so a change to evaluation that moves
-a value shows up too.  To rewrite them after an intended change of output:
+a value shows up too, and digests of the tables every quadratic context
+reads, so a change to the cup-form builder that moves a bit shows up even
+where no seeded value reads it.  To rewrite them after an intended change
+of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -28,6 +31,7 @@ from pinquad.ggroups import g_pin
 from pinquad.quadratic import (
     PIN,
     SPIN,
+    _sq2_rows,
     enumerate_quadratics,
     eval_quadratic,
     quad_context,
@@ -176,6 +180,32 @@ def quad_values():
                    for l in lines)
 
 
+QUAD_TABLE_MANIFOLDS = (
+    tuple(name for name in CATALOG_NAMES if name not in ("sphere0", "cp2"))
+    + tuple(f"sd({name})" for name in ("sphere2", "disk2", "rp2", "torus", "klein", "mobius",
+                                       "annulus", "sphere3", "disk3", "solid_torus")))
+
+
+def quad_tables_digest(name):
+    """SHA-256 of the tables of one manifold's quadratic context, in hex:
+    the cup rows, the pairing rows, the cross table, the Sq^1 parities and,
+    from dimension 3 on, the Sq^2 rows."""
+    m = _quad_manifold(name)
+    ctx = quad_context(m)
+    tables = [("rows", ctx.rows), ("pairing", ctx.pairing),
+              ("cross", [bit for row in ctx.cross for bit in row]), ("sq1", ctx.sq1)]
+    if m.n >= 3:
+        tables.append(("sq2", _sq2_rows(m)))
+    h = hashlib.sha256()
+    for label, table in tables:
+        h.update(b"%s %s\n" % (label.encode(), b" ".join(b"%x" % v for v in table)))
+    return h.hexdigest()
+
+
+def quad_tables_digests():
+    return "".join(f"{name} {quad_tables_digest(name)}\n" for name in QUAD_TABLE_MANIFOLDS)
+
+
 def _read(fname):
     with open(os.path.join(GOLDEN, fname), encoding="utf-8") as f:
         return f.read()
@@ -199,6 +229,12 @@ def test_sd_solid_torus_solver_matches_golden_digest():
 
 def test_quad_values_match_golden():
     assert quad_values() == _read("quad_values.jsonl")
+
+
+@pytest.mark.parametrize("name", QUAD_TABLE_MANIFOLDS)
+def test_quad_tables_match_golden_digest(name):
+    golden = dict(line.split() for line in _read("quad_tables.sha256").splitlines())
+    assert quad_tables_digest(name) == golden[name]
 
 
 @pytest.mark.parametrize("name", QUAD_VALUE_MANIFOLDS)
@@ -227,6 +263,8 @@ def regenerate():
         f.write(sd_solid_torus_digests())
     with open(os.path.join(GOLDEN, "quad_values.jsonl"), "w", encoding="utf-8") as f:
         f.write(quad_values())
+    with open(os.path.join(GOLDEN, "quad_tables.sha256"), "w", encoding="utf-8") as f:
+        f.write(quad_tables_digests())
 
 
 if __name__ == "__main__":

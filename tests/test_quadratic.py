@@ -15,7 +15,6 @@ from pinquad.cochains import (
     integrate,
     pullback,
     sq,
-    sq2_table,
     to_bits,
     zero_cochain,
 )
@@ -42,6 +41,7 @@ from pinquad.fixtures import CATALOG_NAMES, catalog
 from pinquad.quadratic import (
     PIN,
     SPIN,
+    _sq2_rows,
     act,
     boundary_manifold,
     boundary_quadratic,
@@ -738,7 +738,7 @@ def test_cup_rows_annihilate_d0_on_surfaces(name):
 def test_sq2_rows_match_cup_products(name):
     m = catalog(name)
     n = m.n
-    rows = sq2_table(m)
+    rows = _sq2_rows(m)
     lower = m.pair.relative_simplices(n - 2)
     upper = m.pair.relative_simplices(n - 1)
     assert len(rows) == len(lower)

@@ -96,6 +96,19 @@ class TestComplexFormat:
             manifold_from_text(text)
         assert info.value.line == line
 
+    @pytest.mark.parametrize("text, line", [
+        ("dim 1\nsimplex -1 0\n", 2),
+        ("dim 1\nsimplex 0 1\nboundary -1\n", 3),
+        ("dim 1\nsimplex 0 1\norient 0 -1 +1\n", 3),
+        ("rank -2 0\ndim 1\nsimplex 0 1\n", 1),
+    ], ids=["simplex", "boundary", "orient", "rank"])
+    def test_negative_vertex_names_its_line(self, text, line):
+        # a negative vertex would collide with the shifted vertices of a
+        # disjoint union: -1 + (max + 1) is the other complex's top vertex
+        with pytest.raises(ParseError) as info:
+            parse_complex(text)
+        assert info.value.line == line and "negative" in str(info.value)
+
 
 class TestCochainFormat:
     def test_round_trip_all_rings(self, rp2):
@@ -396,6 +409,19 @@ class TestCliMalformedInput:
         path.write_text("dim 1\nsimplex 0 1\nboundary 7\n")
         self.fails_cleanly(["info", "--complex", str(path)], capsys)
 
+    def test_complex_has_a_negative_vertex(self, tmp_path, capsys):
+        path = tmp_path / "bad.complex"
+        path.write_text("dim 2\nsimplex -1 0 1\nsimplex 0 1 2\n")
+        self.fails_cleanly(["info", "--complex", str(path)], capsys)
+
+    @pytest.mark.parametrize("suites", ["nonexistent", ","])
+    def test_unknown_suite(self, suites, capsys):
+        self.fails_cleanly(["identities", "--trials", "1", "--suites", suites], capsys)
+
+    def test_no_source(self, capsys):
+        assert main(["info"]) == 1
+        assert capsys.readouterr().err == "error: one of --fixture, --complex or --pair is required\n"
+
     def test_cochain_names_a_non_simplex(self, tmp_path, capsys):
         path = tmp_path / "bad.cochain"
         path.write_text("cochain Z2 1\n0 99 -> 1\n")
@@ -408,6 +434,21 @@ class TestCliMalformedInput:
     ], ids=["complex", "cochain"])
     def test_path_is_a_directory(self, argv, tmp_path, capsys):
         self.fails_cleanly(argv + [str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("sources", [("--fixture", "--complex"), ("--complex", "--pair"),
+                                     ("--fixture", "--pair")])
+@pytest.mark.parametrize("command", [["info"], ["quad", "enumerate"], ["ggroup"]])
+def test_two_input_sources_are_a_usage_error(command, sources, tmp_path, capsys):
+    # each source names a manifold, so naming two would silently drop one
+    path = tmp_path / "torus.complex"
+    path.write_text(fixture_text("torus"))
+    value = {"--fixture": "rp2", "--complex": str(path), "--pair": str(path)}
+    argv = command + [arg for s in sources for arg in (s, value[s])]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {sources[1]}: not allowed with argument {sources[0]}" in captured.err
 
 
 def test_partial_orientation_is_one_error_line(tmp_path, capsys):
@@ -458,6 +499,14 @@ class TestCliNegativeCounts:
 
         with pytest.raises(ValueError):
             run_suites(trials=-3)
+
+    def test_run_suites_names_an_unknown_suite(self):
+        from pinquad.identities import ALL_SUITES, run_suites
+
+        with pytest.raises(ValueError) as info:
+            run_suites(trials=1, names=["dd_zero", "nonexistent"])
+        assert "'nonexistent'" in str(info.value)
+        assert all(name in str(info.value) for name in ALL_SUITES)
 
 
 def test_enumerate_past_the_budget_is_exit_2(tmp_path, capsys, eleven_tori):
