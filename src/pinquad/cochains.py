@@ -376,10 +376,13 @@ def cup_form(m: ManifoldPair, p: int, i: int,
     simplices visits them all.  Given ``tops``, only those are walked, and
     an entry counts only their terms: it is exact at s, or at bit k, when
     every top simplex above s, or above t_k, is given, as ``cup_i`` walks
-    only those above a support.
+    only those above a support.  A form with no cut pattern, such as
+    (n-2, n-4) at n = 3, is empty and walks nothing.
     """
-    idx = _index(m.pair, m.n + i - p)
     faces = [(even, odd) for even, odd, _ in _cut_patterns(p, m.n + i - p, i)]
+    if not faces:
+        return {}
+    idx = _index(m.pair, m.n + i - p)
     form: Dict[Simplex, int] = {}
     for s in m.complex.simplices(m.n) if tops is None else tops:
         for even, odd in faces:

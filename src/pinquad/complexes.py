@@ -290,12 +290,15 @@ def cofaces(x: OrderedComplex, k: int) -> Dict[Simplex, Tuple]:
     The entry of s is (e, tau_1, ..., tau_m): s is a face of every tau_j,
     with sign +1 in the boundary of tau_1..tau_e and -1 in that of the
     rest, each group in canonical order.  Built once per complex and
-    degree; callers must not mutate it.
+    degree; callers must not mutate it.  With no (k+1)-simplices, as in the
+    top degree, every entry is the one tuple (0,).
     """
     if k < 0:
         return {}
 
     def build() -> Dict[Simplex, Tuple]:
+        if not x.simplices(k + 1):
+            return dict.fromkeys(x.simplices(k), (0,))
         split = {s: ([], []) for s in x.simplices(k)}
         for tau in x.simplices(k + 1):
             # the i-th face drops vertex k+1-i, of the parity of k+1+i
@@ -404,22 +407,33 @@ def validate_manifold(
     failures.  Fullness and the boundary-vertices-first rank condition raise
     NeedsSubdivision (one barycentric subdivision always repairs both)
     unless the corresponding require_* flag is off, in which case the defect
-    is recorded on the result.  Fullness is scanned over every simplex: a
-    lone triangle, all of whose edges are boundary, fails it only in
-    dimension 2.  Ordering is scanned over the edges alone: a simplex lists
-    a boundary vertex after an interior one exactly when some edge of it
-    runs from an interior vertex to a boundary vertex, and the edges come
-    first among the simplices, so the first violating edge is also the first
-    violating simplex.  An explicit orientation must sign exactly the top
-    simplices, each +1 or -1, with the signs cancelling on every interior
-    face.
+    is recorded on the result.
+
+    Purity is read off the coface indexes below the top degree: x has no
+    simplex above dimension n, so every n-simplex is maximal, and a
+    k-simplex with k < n is maximal exactly when its entry holds only the
+    count.  The first such simplex, lowest dimension first, then in
+    canonical order, is the one refused.
+
+    Fullness and ordering are scanned only when the boundary has vertices;
+    a complex without boundary vertices satisfies both.  Fullness is then
+    scanned over every simplex: a lone triangle, all of whose edges are
+    boundary, fails it only in dimension 2.  Ordering is scanned over the
+    edges alone: a simplex lists a boundary vertex after an interior one
+    exactly when some edge of it runs from an interior vertex to a boundary
+    vertex, and the edges come first among the simplices, so the first
+    violating edge is also the first violating simplex.  An explicit
+    orientation must sign exactly the top simplices, each +1 or -1, with
+    the signs cancelling on every interior face.
     """
     if n is None:
         n = x.dim
     if x.dim != n:
         raise NotPseudoManifold(f"complex has dimension {x.dim}, expected {n}")
-    for s in maximal_simplices(x):
-        if len(s) != n + 1:
+    for k in range(n):
+        up = cofaces(x, k)
+        if 1 in map(len, up.values()):
+            s = next(s for s, above in up.items() if len(above) == 1)
             raise NotPseudoManifold(f"simplex {s} is not a face of any top simplex")
     computed_boundary = []
     # (face, a, b, rel): compatible orientations sign b as rel times a, and rel
@@ -439,10 +453,12 @@ def validate_manifold(
     pair = ComplexPair(x, sub)
 
     on_boundary = pair.sub_vertices
-    not_full = next((s for s in x.all_simplices()
-                     if s not in sub and all(v in on_boundary for v in s)), None)
-    misordered = next((e for e in x.simplices(1)
-                       if e[0] not in on_boundary and e[1] in on_boundary), None)
+    not_full = misordered = None
+    if on_boundary:
+        not_full = next((s for s in filter(on_boundary.issuperset, x.all_simplices())
+                         if s not in sub), None)
+        misordered = next((e for e in x.simplices(1)
+                           if e[0] not in on_boundary and e[1] in on_boundary), None)
     if require_full and not_full is not None:
         raise NeedsSubdivision([f"boundary not full at {not_full}"])
     if require_ordering and misordered is not None:
@@ -610,7 +626,9 @@ def collapse_map(m: ManifoldPair) -> Collapse:
 def disjoint_union(
     x: OrderedComplex, y: OrderedComplex
 ) -> Tuple[OrderedComplex, SimplicialMap, SimplicialMap]:
-    offset = max(x.vertices) + 1
+    # y's vertices move above x's; shifting a negative one by max + 1 alone
+    # could land it on a vertex of x
+    offset = max(x.vertices) + 1 - min(min(y.vertices, default=0), 0)
     rank = dict(x.rank)
     for v in y.vertices:
         rank[v + offset] = y.rank[v]

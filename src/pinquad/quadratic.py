@@ -113,7 +113,7 @@ class _Context:
     """Per-manifold data shared by every quadratic function on it: the
     solver of H^{n-1}(M, bd M) and four tables over its basis p_j.  Two
     ``cochains.cup_form`` walks over the top simplices above the basis give
-    them.
+    them, one on a surface, where both forms are the (1, 0) form.
 
     - ``rows[j]``: the relative (n-1)-simplices e with int(p_j u_{n-2} e*)
       = 1, as bits in canonical order: the XOR of the (n-1, n-2) form's
@@ -144,8 +144,10 @@ class _Context:
         tops = {tau for p in basis for s in p.values for tau in up[s][1:]}
         below = cup_form(m, m.n - 1, m.n - 2, tops)
         self.rows = [reduce(xor, (below.get(s, 0) for s in p.values), 0) for p in basis]
+        # on a surface the (n-1, n-2) form is the (1, 0) form
+        pair_form = below if m.n == 2 else cup_form(m, 1, 0, tops)
         pairing = {e: sum(((bits & r).bit_count() & 1) << j for j, r in enumerate(reps))
-                   for e, bits in cup_form(m, 1, 0, tops).items()}
+                   for e, bits in pair_form.items()}
         self.pairing = [pairing.get(e, 0) for e in m.complex.simplices(1)]
         self.cross = [[bin(row & r).count("1") % 2 for r in reps] for row in self.rows]
         self.sq1 = tuple(row[j] for j, row in enumerate(self.cross))

@@ -13,6 +13,7 @@ from pinquad.complexes import (
     absolute_pair,
     barycentric_subdivide,
     build_complex,
+    cofaces,
     collapse_map,
     cone,
     cylinder,
@@ -220,6 +221,14 @@ class TestValidation:
         with pytest.raises(NotPseudoManifold):
             validate_manifold(x, 2, require_full=False, require_ordering=False)
 
+    def test_the_lowest_dimension_offender_is_named(self):
+        # two offenders: the vertex (5,), of the lower dimension, is named
+        # before the edge (3, 4)
+        x = build_complex([(0, 1, 2), (3, 4), (5,)])
+        with pytest.raises(NotPseudoManifold) as info:
+            validate_manifold(x, 2, require_full=False, require_ordering=False)
+        assert str(info.value) == "simplex (5,) is not a face of any top simplex"
+
     def test_explicit_orientation_of_a_lone_triangle(self):
         # no interior face, so no sign pair would notice the gap
         with pytest.raises(NotPseudoManifold):
@@ -288,6 +297,24 @@ class TestValidationScans:
         # only the raw strips, all of whose vertices are on the boundary, have
         # no ordering to get wrong
         assert misordered_draws > 0 or m.pair.sub_vertices == set(verts)
+
+
+CLOSED_SOURCES = tuple(name for name in CATALOG_NAMES if catalog(name).closed)
+
+
+@pytest.mark.parametrize("name", CLOSED_SOURCES)
+def test_closed_complexes_pass_both_scans_under_relabelling(name):
+    """Without a boundary neither condition is scanned; a scan of every
+    simplex agrees that both hold, whatever the ranks."""
+    x = catalog(name).complex
+    tops, verts = x.simplices(x.dim), x.vertices
+    rng = random.Random(f"closed:{name}")
+    for _ in range(5):
+        ranks = rng.sample(range(len(verts)), len(verts))
+        y = build_complex(tops, dict(zip(verts, ranks)))
+        m = validate_manifold(y, x.dim)
+        assert m.closed and m.boundary_full and m.ordering_ok
+        assert _first_violations(y, m.pair.sub) == (None, None)
 
 
 class TestCollapse:
@@ -373,6 +400,37 @@ class TestDisjointUnion:
         z, ix, iy = disjoint_union(rp2.complex, torus.complex)
         assert z.euler() == rp2.complex.euler() + torus.complex.euler()
         assert betti2(z, 0) == 2
+
+    def test_negative_vertices_stay_apart(self):
+        x = build_complex(itertools.combinations(range(4), 3))
+        y = build_complex(itertools.combinations(range(-1, 3), 3))
+        z, ix, iy = disjoint_union(x, y)
+        assert len(set(z.vertices)) == len(z.vertices) == 8
+        checked = OrderedComplex(z.simplices_by_dim, z.rank)
+        assert checked.simplices_by_dim == z.simplices_by_dim
+        images = [set(f.vertex_map.values()) for f in (ix, iy)]
+        assert not images[0] & images[1]
+        assert all(z.has_simplex(f.image(s))
+                   for f, w in ((ix, x), (iy, y)) for s in w.all_simplices())
+
+
+def _reference_cofaces(x, k):
+    """The coface index built from the boundary formula, for every degree."""
+    split = {s: ([], []) for s in x.simplices(k)}
+    for tau in x.simplices(k + 1):
+        for i in range(k + 2):
+            split[tau[:i] + tau[i + 1:]][i % 2].append(tau)
+    return {s: (len(plus), *plus, *minus) for s, (plus, minus) in split.items()}
+
+
+@pytest.mark.parametrize("name", ("sphere0", "disk1", "rp2", "mobius", "solid_torus"))
+def test_cofaces_match_the_boundary_formula(name):
+    x = catalog(name).complex
+    for k in range(x.dim + 2):
+        up = cofaces(x, k)
+        assert up == _reference_cofaces(x, k)
+        assert list(up) == list(x.simplices(k))
+    assert set(cofaces(x, x.dim).values()) == {(0,)}
 
 
 @st.composite
