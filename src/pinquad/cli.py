@@ -28,9 +28,16 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .cochains import solver as cohomology_solver
+from .cochains import SPIN, solver as cohomology_solver
 from .complexes import ComplexPair, ManifoldPair
-from .errors import SIZE_BUDGET, ParseError, PinquadError
+from .errors import (
+    SIZE_BUDGET,
+    NotClosedSurface,
+    ParseError,
+    PinquadError,
+    SpinOnNonorientable,
+    check_budget,
+)
 from .fixtures import (
     CATALOG_NAMES,
     catalog,
@@ -139,6 +146,7 @@ def _cmd_quad(args) -> int:
         eval_quadratic,
         make_quadratic,
         negate,
+        quad_context,
         verify_axioms,
     )
 
@@ -154,6 +162,14 @@ def _cmd_quad(args) -> int:
             )
         return 0
     if args.sub == "brown":
+        # the refusals that compute nothing come first; then 2^h functions
+        # of 2^h Gauss sum terms each, refused as a product, not each alone
+        dim = quad_context(m).solver.dim
+        if mode == SPIN and not m.orientable:
+            raise SpinOnNonorientable("spin mode needs an oriented manifold")
+        if m.n != 2 or not m.closed:
+            raise NotClosedSurface("Gauss sums need a closed surface")
+        check_budget(2 * dim, "Gauss sum terms")
         qs = enumerate_quadratics(m, mode)
         betas = [brown_gauss(q) for q in qs]
         out.emit(

@@ -480,7 +480,7 @@ class CohomologySolver:
         self._shift = len(below)
         cocycles, tops = nullspace_and_top_bits(
             coboundary_bits(pair, degree), _tops(pair, degree - 1))
-        pair.cache.setdefault(("tops", degree), tops)
+        cached(pair, ("tops", degree), lambda: tops)
         self._ech, self._rep_bits = representatives(
             below, cocycles, self._shift, _tops(pair, degree - 2))
         self.basis: Tuple[Cochain, ...] = tuple(

@@ -8,11 +8,13 @@ Elements are pairs (w, p) of relative cochains with dp = 0 and dw = Sq^2 p
 modulo the subgroup {(df + Sq^2 c, dc)}.  The closed-form engine reads the
 abelian quotient off the short exact sequence ends QH^n and SH^{n-1} and
 the rank of phi: [p] -> [Sq^1 p].  The brute-force oracle finds the group
-without that sequence: it enumerates the pairs with w stored modulo the
-central coboundaries (df, 0), in the normal form of the GF(2) layer, and
-merges the cosets of the (Sq^2 c, dc) generators with union-find.  Its
-summands and order come from the enumeration alone; the dims it reports
-are the sequence's, so they agree with the closed form by construction.
+without that sequence: it enumerates the pairs E with w stored modulo the
+central coboundaries (df, 0), in the normal form of the GF(2) layer,
+closes (0, 0) under the (Sq^2 c, dc) generators to the relation subgroup
+N, and counts: |E| / |N| classes, and the classes whose square (p u_{n-2}
+p, 0) lies in N.  Its summands and order come from the enumeration alone;
+the dims it reports are the sequence's, so they agree with the closed form
+by construction.
 """
 
 from __future__ import annotations
@@ -291,39 +293,25 @@ def g_is_trivial(a: GPair) -> bool:
 # -- brute-force oracle ------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def g_pin_bruteforce(pair: ComplexPair, n: int,
                      size_budget: int = SIZE_BUDGET) -> GGroupStructure:
-    """Enumerate the pairs modulo the coboundaries, merge cosets of the
-    relation subgroup with union-find, and read off the abelian profile.
-    Exact, and independent of the exact sequence.
+    """Enumerate the pairs modulo the coboundaries, close the identity under
+    the relations, and read the abelian profile off by counting.  Exact, and
+    independent of the exact sequence.
 
-    Each w is stored in its normal form modulo B^n (``Echelon.normal``), so
-    the central relations (df, 0) hold by construction and only the
-    (Sq^2 c, dc) generators are merged.  w runs over w0 + Z^n/B^n for each
-    p in Z^{n-1} with Sq^2 p = dw0: at most 2^(dim Z^{n-1} + dim Z^n -
-    rank d_{n-1}) elements, which size_budget caps before any is built.
+    Each w is taken in its normal form modulo B^n (``Echelon.normal``), so
+    the central relations (df, 0) hold by construction.  The pairs E are
+    w0 + Z^n/B^n for each p in Z^{n-1} with Sq^2 p = dw0: at most
+    2^(dim Z^{n-1} + dim Z^n - rank d_{n-1}) elements, which size_budget caps
+    before any is built.  Modulo B^n, p u_{n-2} q + q u_{n-2} p =
+    d(p u_{n-1} q) for cocycles, so E is abelian, the closure N of (0, 0)
+    under the (Sq^2 c, dc) generators is the relation subgroup, and the
+    group has |E| / |N| classes.  The square (p u_{n-2} p, 0) of (w, p)
+    depends on p alone and is additive in p, so the classes of order at
+    most 2 number #{p : (p u_{n-2} p, 0) in N} * |Z^n/B^n| / |N|.
     """
     x = pair.ambient
     e_list = pair.relative_simplices(n - 1)
-    ne = len(e_list)
 
     # the kernel Z^{n-1} holds the p's and the echelon of d_{n-1} spans B^n;
     # wech also solves dw = Sq^2 p deterministically
@@ -333,32 +321,30 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     check_budget(len(z_p) + len(z_w) - bech.rank, "pairs", size_budget)
 
     normal = bech.normal
-    # a basis of Z^n/B^n in normal form; sums of normal forms are normal
+    # an echelon of Z^n/B^n in normal form; sums of normal forms are normal
     quotient = eliminate([normal(z) for z in z_w])
-    reps = [bits for bits, _ in quotient.rows.values()]
 
-    elems: List[int] = []
-    index: Dict[int, int] = {}
-
-    def pack(w: int, p: int) -> int:
-        return (normal(w) << ne) | p
-
-    def index_of(w: int, p: int) -> int:
-        i = index.get(pack(w, p))
-        if i is None:
-            raise InvariantViolation("a relation image or product is missing "
-                                     "from the enumerated quotient")
-        return i
-
+    # one solution w0 per solvable p, and the square of each such p, combined
+    # from the squares of the basis of Z^{n-1} with the bits that build p
+    sq_basis = []
+    for z in z_p:
+        zc = from_bits(pair, n - 1, z)
+        sq_basis.append(normal(to_bits(pair, cup_i(zc, zc, n - 2))))
+    w0: Dict[int, int] = {}
+    squares: List[int] = []
     for a in range(1 << len(z_p)):
         pb = combine(z_p, a)
-        rem, w0 = wech.reduce(to_bits(pair, sq(2, from_bits(pair, n - 1, pb))))
-        if rem:
-            continue
-        for b in range(1 << len(reps)):
-            packed = pack(w0 ^ combine(reps, b), pb)
-            index[packed] = len(elems)
-            elems.append(packed)
+        rem, w = wech.reduce(to_bits(pair, sq(2, from_bits(pair, n - 1, pb))))
+        if not rem:
+            w0[pb] = normal(w)
+            squares.append(combine(sq_basis, a))
+
+    def land(w: int, p: int) -> None:
+        """Refuse a normal-form pair (w, p) outside E."""
+        w0p = w0.get(p)
+        if w0p is None or quotient.reduce(w ^ w0p)[0]:
+            raise InvariantViolation("a relation image or product is missing "
+                                     "from the enumerated quotient")
 
     # the (Sq^2 c, dc) generators and their cup rows
     gens: List[Tuple[int, int, List[int]]] = []  # (w bits, p bits, cup rows)
@@ -366,37 +352,29 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
         return [to_bits(pair, cup_i(dual_cochain(x, e), rp, n - 2)) for e in e_list]
 
     for t, rp in zip(pair.relative_simplices(n - 2), coboundary_bits(pair, n - 2)):
-        gens.append((to_bits(pair, sq(2, dual_cochain(x, t))), rp,
+        gens.append((normal(to_bits(pair, sq(2, dual_cochain(x, t)))), rp,
                      cup_rows(from_bits(pair, n - 1, rp))))
 
-    uf = _UnionFind(len(elems))
-    mask_e = (1 << ne) - 1
-    for idx, packed in enumerate(elems):
-        pb = packed & mask_e
-        wb = packed >> ne
+    relations = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        wb, pb = stack.pop()
         for rw, rp, rows in gens:
-            uf.union(idx, index_of(wb ^ rw ^ combine(rows, pb), pb ^ rp))
+            image = (wb ^ rw ^ normal(combine(rows, pb)), pb ^ rp)
+            if image not in relations:
+                land(*image)
+                relations.add(image)
+                stack.append(image)
 
-    roots: Dict[int, int] = {}
-    for idx in range(len(elems)):
-        r = uf.find(idx)
-        if r not in roots:
-            roots[r] = idx
-    size = len(roots)
-
-    def multiply(i1: int, i2: int) -> int:
-        pk1, pk2 = elems[i1], elems[i2]
-        p1, w1 = pk1 & mask_e, pk1 >> ne
-        p2, w2 = pk2 & mask_e, pk2 >> ne
-        cross = to_bits(pair, cup_i(from_bits(pair, n - 1, p1),
-                                    from_bits(pair, n - 1, p2), n - 2))
-        return index_of(w1 ^ w2 ^ cross, p1 ^ p2)
-
-    ident_root = uf.find(index_of(0, 0))
-    involutions = 0
-    for r, rep in roots.items():
-        if uf.find(multiply(rep, rep)) == ident_root:
-            involutions += 1
+    trivial_squares = 0
+    for sqw in squares:
+        land(sqw, 0)
+        trivial_squares += (sqw, 0) in relations
+    size, r1 = divmod(len(w0) << quotient.rank, len(relations))
+    involutions, r2 = divmod(trivial_squares << quotient.rank, len(relations))
+    if r1 or r2:
+        raise InvariantViolation(f"{len(relations)} relations do not divide "
+                                 "the pairs and their square roots of 1")
     s = size.bit_length() - 1
     t_log = involutions.bit_length() - 1
     a = s - t_log

@@ -26,13 +26,16 @@ from pinquad.complexes import (
 )
 from pinquad.cochains import CohomologySolver
 from pinquad.errors import (
+    BoundaryNotFull,
     NeedsSubdivision,
     NotPseudoManifold,
+    OrderingViolation,
     TieInSimplex,
     UnknownFixture,
 )
 from pinquad.fixtures import (
     CATALOG_NAMES,
+    MOBIUS_TRIANGLES,
     catalog,
     circle_complex,
     raw_annulus_pair,
@@ -336,6 +339,27 @@ class TestCollapse:
                     if v not in annulus.pair.sub_vertices]
         assert interior
         assert {col.map.vertex_map[v] for v in interior} == {col.cone.apex}
+
+    def test_refuses_a_boundary_that_is_not_full(self):
+        # the raw Moebius band: every vertex is on the boundary circle, but
+        # its interior edges are not
+        m = validate_manifold(build_complex(MOBIUS_TRIANGLES), 2,
+                              require_full=False, require_ordering=False)
+        assert not m.boundary_full
+        with pytest.raises(BoundaryNotFull):
+            collapse_map(m)
+
+    def test_refuses_an_interior_vertex_ranked_first(self):
+        # a square coned from vertex 4, which is ranked before its boundary
+        x = build_complex([(4, 0, 1), (4, 1, 2), (4, 2, 3), (4, 0, 3)],
+                          rank={4: -1, 0: 0, 1: 1, 2: 2, 3: 3})
+        with pytest.raises(NeedsSubdivision) as info:
+            validate_manifold(x, 2)
+        assert info.value.reasons == ("boundary vertex after interior vertex in (4, 0)",)
+        m = validate_manifold(x, 2, require_ordering=False)
+        assert m.boundary_full and not m.ordering_ok
+        with pytest.raises(OrderingViolation):
+            collapse_map(m)
 
 
 class TestCatalog:

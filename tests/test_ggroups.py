@@ -227,7 +227,10 @@ class TestOracle:
 
     @pytest.mark.parametrize("name,n", [
         ("torus", 1), ("torus", 2), ("klein", 1), ("klein", 2),
-        ("sphere3", 2), ("sphere3", 3), ("sphere3", 4),
+        ("sphere3", 2), ("sphere3", 3), ("sphere3", 4), ("rp2", 3),
+        ("disk3", 1), ("disk3", 2), ("disk3", 3), ("disk3", 4),
+        ("sphere4", 1), ("sphere4", 2), ("sphere4", 3), ("sphere4", 4), ("sphere4", 5),
+        ("mobius", 2),
     ])
     def test_engines_agree_beyond_rp2(self, name, n):
         pair = catalog(name).pair
@@ -244,7 +247,7 @@ class TestOracle:
         assert time.perf_counter() - t0 < 1.0
 
     def test_lost_key_is_an_invariant_violation(self, monkeypatch):
-        # a cross term that is no cocycle sends relation images and products
+        # a cross term that is no cocycle sends relation images and squares
         # out of the enumerated pairs (Z^2 is not all of C^2 on the 3-sphere)
         sphere3 = catalog("sphere3")
         x = sphere3.complex

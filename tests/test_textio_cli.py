@@ -517,6 +517,39 @@ def test_enumerate_past_the_budget_is_exit_2(tmp_path, capsys, eleven_tori):
     assert err.startswith("error: BudgetExceeded") and len(err.splitlines()) == 1
 
 
+def test_brown_refuses_functions_times_terms_before_enumerating(tmp_path, capsys):
+    # six tori: 2^12 functions and 2^12 Gauss sum terms each fit the budget
+    # alone, but their product, about a minute of sums, does not
+    from pinquad.complexes import disjoint_union
+
+    x = z = catalog("torus").complex
+    for _ in range(5):
+        z, _, _ = disjoint_union(z, x)
+    path = tmp_path / "tori.complex"
+    path.write_text(format_complex(z))
+    assert main(["quad", "brown", "--complex", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: BudgetExceeded: 2^24 Gauss sum terms exceed the budget 1048576\n"
+
+
+@pytest.mark.parametrize("name,copies,mode,err", [
+    ("klein", 6, "spin", "SpinOnNonorientable: spin mode needs an oriented manifold"),
+    ("annulus", 12, "pin", "NotClosedSurface: Gauss sums need a closed surface"),
+])
+def test_brown_refuses_what_it_cannot_sum_before_the_budget(tmp_path, capsys, name, copies, mode, err):
+    # h = 12, past the product budget, but no Gauss sum would be taken:
+    # the refusal names the input, not the budget
+    from pinquad.complexes import disjoint_union
+
+    x = z = catalog(name).complex
+    for _ in range(copies - 1):
+        z, _, _ = disjoint_union(z, x)
+    path = tmp_path / "copies.complex"
+    path.write_text(format_complex(z))
+    assert main(["quad", "brown", "--complex", str(path), "--mode", mode]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_an_operator_past_the_byte_budget_is_exit_2(tmp_path, capsys, monkeypatch):
     from pinquad import errors
     from pinquad.complexes import barycentric_subdivide
