@@ -189,13 +189,16 @@ def d(c: Cochain) -> Cochain:
     """Simplicial coboundary (alternating signs; they vanish mod 2), pushed
     from each simplex of the support onto its cofaces."""
     up = cofaces(c.complex, c.degree)
+    above = c.complex.simplices(c.degree + 1)
     vals: Dict[Simplex, object] = {}
     for s, v in c.values.items():
         entry = up[s]
         e = entry[0]
-        for tau in entry[1:e + 1]:
+        for t in entry[1:e + 1]:
+            tau = above[t]
             vals[tau] = vals.get(tau, 0) + v
-        for tau in entry[e + 1:]:
+        for t in entry[e + 1:]:
+            tau = above[t]
             vals[tau] = vals.get(tau, 0) - v
     return Cochain._of(c.complex, c.degree + 1, c.ring, _reduced(c.ring, vals))
 
@@ -238,21 +241,46 @@ def coboundary_bits(pair: ComplexPair, k: int) -> List[int]:
     """The mod-2 coboundary from relative k- to relative (k+1)-cochains.
 
     Entry j is d of the j-th relative k-simplex, as bits over the relative
-    (k+1)-simplices, both in canonical order.  Built once per pair and
+    (k+1)-simplices, both in canonical order.  The bits are read off the
+    complex's coface index (``complexes.cofaces``), whose positions index
+    ``ambient.simplices(k + 1)``: when the subcomplex has no
+    (k+1)-simplex, as on an empty one, a position is the bit.  Otherwise it
+    is mapped to the bit through a position list, built in one walk beside
+    ``relative_simplices(k + 1)``, which holds the ambient's own tuples in
+    the ambient's order, so no coface is hashed.  Built once per pair and
     degree; callers must not mutate it.  An operator whose dense size
     exceeds ``errors.OPERATOR_BUDGET`` is refused before any column is built.
     """
     def build() -> List[int]:
-        simplices = pair.relative_simplices(k)
-        check_operator(k, len(simplices), len(pair.relative_simplices(k + 1)))
-        # the cofaces of a relative simplex are relative: the subcomplex is face-closed
-        idx = _index(pair, k + 1)
+        simplices, above = pair.relative_simplices(k), pair.relative_simplices(k + 1)
+        check_operator(k, len(simplices), len(above))
         up = cofaces(pair.ambient, k)
+        entries = up.values() if len(simplices) == len(up) else map(up.__getitem__, simplices)
+        ambient = pair.ambient.simplices(k + 1)
         columns = []
-        for s in simplices:
+        if len(above) == len(ambient):
+            for entry in entries:
+                v = 0
+                for t in entry[1:]:
+                    v |= 1 << t
+                columns.append(v)
+            return columns
+        # ambient position -> relative one, -1 in the subcomplex, where no
+        # coface of a relative simplex lies: the subcomplex is face-closed
+        bit, j = [], 0
+        relative = iter(above)
+        following = next(relative, None)
+        for tau in ambient:
+            if tau is following:
+                bit.append(j)
+                j += 1
+                following = next(relative, None)
+            else:
+                bit.append(-1)
+        for entry in entries:
             v = 0
-            for tau in up[s][1:]:
-                v |= 1 << idx[tau]
+            for t in entry[1:]:
+                v |= 1 << bit[t]
             columns.append(v)
         return columns
 
@@ -328,7 +356,8 @@ def cup_i(u: Cochain, v: Cochain, i: int) -> Cochain:
     """Steenrod cup_i product; identically zero for i < 0 or i > min(p, q).
 
     Only the (p+q-i)-simplices above both supports can be nonzero; they are
-    reached from the smaller support through the coface index."""
+    reached from the smaller support through the coface index, and there is
+    no walk when the complex has none."""
     if u.complex is not v.complex:
         raise ComplexMismatch("cup_i needs cochains on one complex")
     if u.ring != v.ring:
@@ -337,12 +366,13 @@ def cup_i(u: Cochain, v: Cochain, i: int) -> Cochain:
         raise RingMismatch("cup_i is defined over Int and Z2; coerce afterwards")
     p, q = u.degree, v.degree
     x = u.complex
-    if i < 0 or i > p or i > q or not u.values or not v.values:
+    if (i < 0 or i > p or i > q or not u.values or not v.values
+            or p + q - i not in x.simplices_by_dim):
         return Cochain._of(x, p + q - i, u.ring, {})
     low, above = (p, u.values) if len(u.values) <= len(v.values) else (q, v.values)
     for k in range(low, p + q - i):
-        up = cofaces(x, k)
-        above = {tau for s in above for tau in up[s][1:]}
+        up, simplices = cofaces(x, k), x.simplices(k + 1)
+        above = {simplices[t] for s in above for t in up[s][1:]}
     patterns = _cut_patterns(p, q, i)
     vals: Dict[Simplex, int] = {}
     mod2 = u.ring == Z2

@@ -252,6 +252,10 @@ class ComplexPair:
         return tuple(s) in self.sub
 
     def relative_simplices(self, k: int) -> Tuple[Simplex, ...]:
+        """The k-simplices outside the subcomplex, in canonical order: the
+        ambient's own tuple when the subcomplex is empty."""
+        if not self.sub:
+            return self.ambient.simplices(k)
         return cached(self, ("simplices", k), lambda: tuple(
             s for s in self.ambient.simplices(k) if s not in self.sub))
 
@@ -274,9 +278,12 @@ def cached(owner, key, build: Callable[[], object]):
     The coface index depends on the complex alone, which never changes once
     built, so it lives on the OrderedComplex: fresh pairs over one complex
     share it, and the repeated calls of the solve_scaled benchmark are not
-    cold for face enumeration.  What depends on a subcomplex (relative
-    simplices and their positions, mod-2 operators, top bits, solvers)
-    lives on the pairs, so each new pair starts cold for it.
+    cold for face enumeration.  Its cofaces are positions in the complex's
+    own enumeration, so it serves every subcomplex alike.  What depends on a
+    subcomplex lives on the pairs, so each new pair starts cold for it: the
+    relative simplices (the ambient's own tuples when the subcomplex is
+    empty, with no entry) and their index, the mod-2 operators, the top
+    bits and the solvers.
     """
     cache = owner.cache
     if key not in cache:
@@ -284,26 +291,29 @@ def cached(owner, key, build: Callable[[], object]):
     return cache[key]
 
 
-def cofaces(x: OrderedComplex, k: int) -> Dict[Simplex, Tuple]:
-    """The (k+1)-simplices above each k-simplex of x, split by sign.
+def cofaces(x: OrderedComplex, k: int) -> Dict[Simplex, Tuple[int, ...]]:
+    """The (k+1)-simplices above each k-simplex of x, split by sign, as
+    positions in ``x.simplices(k + 1)``.
 
-    The entry of s is (e, tau_1, ..., tau_m): s is a face of every tau_j,
-    with sign +1 in the boundary of tau_1..tau_e and -1 in that of the
-    rest, each group in canonical order.  Built once per complex and
-    degree; callers must not mutate it.  With no (k+1)-simplices, as in the
-    top degree, every entry is the one tuple (0,).
+    The entry of s is (e, t_1, ..., t_m): s is a face of every
+    x.simplices(k + 1)[t_j], with sign +1 in the boundary of t_1..t_e and -1
+    in that of the rest, each group in increasing position, which is the
+    canonical order.  The keys are x.simplices(k) in canonical order.  Built
+    once per complex and degree and shared by every pair over x; callers
+    must not mutate it.  With no (k+1)-simplices, as in the top degree,
+    every entry is the one tuple (0,).
     """
     if k < 0:
         return {}
 
-    def build() -> Dict[Simplex, Tuple]:
+    def build() -> Dict[Simplex, Tuple[int, ...]]:
         if not x.simplices(k + 1):
             return dict.fromkeys(x.simplices(k), (0,))
         split = {s: ([], []) for s in x.simplices(k)}
-        for tau in x.simplices(k + 1):
+        for t, tau in enumerate(x.simplices(k + 1)):
             # the i-th face drops vertex k+1-i, of the parity of k+1+i
             for j, face in enumerate(itertools.combinations(tau, k + 1), k + 1):
-                split[face][j % 2].append(tau)
+                split[face][j % 2].append(t)
         return {s: (len(plus), *plus, *minus) for s, (plus, minus) in split.items()}
 
     return cached(x, ("cofaces", k), build)
@@ -439,11 +449,12 @@ def validate_manifold(
     # (face, a, b, rel): compatible orientations sign b as rel times a, and rel
     # is +1 exactly when face has opposite signs in the boundaries of a and b
     interior = []
+    tops = x.simplices(n)
     for face, up in cofaces(x, n - 1).items():
         if len(up) == 2:
             computed_boundary.append(face)
         elif len(up) == 3:
-            interior.append((face, up[1], up[2], 1 if up[0] == 1 else -1))
+            interior.append((face, tops[up[1]], tops[up[2]], 1 if up[0] == 1 else -1))
         else:
             raise NotPseudoManifold(f"{face} has {len(up) - 1} top cofaces")
     sub = face_closure(computed_boundary)

@@ -140,8 +140,8 @@ class _Context:
         self.manifold = m
         self.solver = solver(m.pair, m.n - 1)
         basis, reps = self.solver.basis, self.solver._rep_bits
-        up = cofaces(m.complex, m.n - 1)
-        tops = {tau for p in basis for s in p.values for tau in up[s][1:]}
+        up, top = cofaces(m.complex, m.n - 1), m.complex.simplices(m.n)
+        tops = {top[t] for p in basis for s in p.values for t in up[s][1:]}
         below = cup_form(m, m.n - 1, m.n - 2, tops)
         self.rows = [reduce(xor, (below.get(s, 0) for s in p.values), 0) for p in basis]
         # on a surface the (n-1, n-2) form is the (1, 0) form

@@ -49,7 +49,7 @@ from pinquad.errors import (
     OrientationRequired,
     RingMismatch,
 )
-from pinquad.fixtures import CATALOG_NAMES, catalog
+from pinquad.fixtures import CATALOG_NAMES, catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.identities import random_cochain, random_complex
 from pinquad.quadratic import random_relative_cochain
 from pinquad.suspension import desuspend, suspend, suspension_context
@@ -371,11 +371,69 @@ class TestWu:
         assert integrate(cp2, sq(2, witness)) == 1
 
 
+def _reference_coboundary(pair, k):
+    """d_k mod 2 built without the coface index: the faces of each relative
+    (k+1)-simplex, found by deleting one vertex, are looked up in a dict of
+    the relative k-simplices."""
+    lower = [s for s in pair.ambient.simplices(k) if s not in pair.sub]
+    upper = [s for s in pair.ambient.simplices(k + 1) if s not in pair.sub]
+    row = {s: j for j, s in enumerate(lower)}
+    columns = [0] * len(lower)
+    for t, tau in enumerate(upper):
+        for i in range(k + 2):
+            face = tau[:i] + tau[i + 1:]
+            if face in row:
+                columns[row[face]] |= 1 << t
+    return lower, columns
+
+
+def _shuffled_rp2():
+    """rp2 with shuffled vertex ranks: rank order and id order differ."""
+    x = catalog("rp2").complex
+    verts = x.vertices
+    ranks = random.Random("coboundary:shuffled").sample(range(len(verts)), len(verts))
+    y = build_complex(x.simplices(x.dim), dict(zip(verts, ranks)))
+    assert any(list(s) != sorted(s) for s in y.simplices(2))
+    return absolute_pair(y)
+
+
+def _coboundary_pair(label):
+    if label == "shuffled":
+        return _shuffled_rp2()
+    if label == "one_sub_edge":
+        # a subcomplex with a single simplex in a degree shifts the relative
+        # positions by one
+        return ComplexPair(build_complex([(0, 1, 2), (1, 2, 3)]), [(0,), (1,), (0, 1)])
+    if label == "raw_mobius":
+        return raw_mobius_pair()
+    if label == "raw_annulus":
+        return raw_annulus_pair()
+    if label.startswith("sd:"):
+        m = catalog(label[3:])
+        return validate_manifold(barycentric_subdivide(m.complex).complex, m.n).pair
+    return catalog(label).pair
+
+
+COBOUNDARY_PAIRS = CATALOG_NAMES + tuple(
+    "sd:" + name for name in ("rp2", "mobius", "annulus", "solid_torus")) + (
+    "raw_mobius", "raw_annulus", "shuffled", "one_sub_edge")
+
+
 class TestCoboundaryBits:
+    @pytest.mark.parametrize("label", COBOUNDARY_PAIRS)
+    def test_matches_the_faces_of_each_simplex(self, label):
+        # a fresh pair builds its operators cold; the reference reads no
+        # coface index
+        source = _coboundary_pair(label)
+        pair = ComplexPair(source.ambient, source.sub)
+        for k in range(pair.ambient.dim + 1):
+            lower, columns = _reference_coboundary(pair, k)
+            assert pair.relative_simplices(k) == tuple(lower)
+            assert coboundary_bits(pair, k) == columns, k
+
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_matches_signed_coboundary(self, name):
-        # the mod-2 operator against signed d; both read the coface index, so
-        # TestCoboundaryReference checks d against a scan over faces
+        # the mod-2 operator against signed d, both read off the coface index
         m = catalog(name)
         pair = m.pair
         for k in range(m.n):
@@ -384,6 +442,12 @@ class TestCoboundaryBits:
             assert len(cols) == len(simplices)
             for col, s in zip(cols, simplices):
                 assert col == to_bits(pair, d(dual_cochain(m.complex, s))), (k, s)
+
+    def test_an_empty_subcomplex_lends_the_ambient_simplices(self):
+        pair = absolute_pair(catalog("torus").complex)
+        for k in range(3):
+            assert pair.relative_simplices(k) is pair.ambient.simplices(k)
+        assert not pair.cache
 
 
 class TestOperatorBudget:
