@@ -18,11 +18,12 @@ unique combination of independent columns that it is:
 So these run one pass pivoting on the highest set bit, which
 ``bit_length`` reads in O(1): tracked for ``nullspace`` and ``solve``,
 untracked for ``top_bits`` and ``rank``.  The lowest-bit rule, which
-allocates two ints as wide as the vector to find each pivot, stays where
-the stored rows themselves are read: the ``Echelon`` of ``eliminate``.
-Its rows key ``representatives`` (whose residuals fix the cohomology bases
-and with them the golden files), the decompositions of the cohomology
-solver, the G^pin engine and the normal form of the brute-force oracle.
+allocates ints as wide as the vector to find each pivot (``low_bit``),
+stays where the stored rows themselves are read: the ``Echelon`` of
+``eliminate``.  Its rows key ``representatives`` (whose residuals fix the
+cohomology bases and with them the golden files), the decompositions of
+the cohomology solver, the G^pin engine and the normal form of the
+brute-force oracle.
 A change of either rule touches this module alone.
 
 Clearing.  When the columns are d_{k-1} of a chain complex, each j in P =
@@ -60,8 +61,12 @@ from typing import Container, FrozenSet, List, Optional, Sequence, Tuple
 
 
 def low_bit(x: int) -> int:
-    """Index of the lowest set bit of a nonzero int."""
-    return (x & -x).bit_length() - 1
+    """Index of the lowest set bit of a nonzero int.
+
+    x ^ (x - 1) sets the bits up to the lowest one; it makes one temporary
+    as wide as x fewer than x & -x.
+    """
+    return (x ^ (x - 1)).bit_length() - 1
 
 
 class Echelon:
@@ -78,7 +83,7 @@ class Echelon:
         """Reduce a vector against the stored rows; return the remainder."""
         rows = self.rows
         while bits:
-            row = rows.get((bits & -bits).bit_length() - 1)
+            row = rows.get((bits ^ (bits - 1)).bit_length() - 1)
             if row is None:
                 break
             bits ^= row[0]
@@ -136,9 +141,19 @@ def eliminate(columns: Sequence[int], skip: Container[int] = ()) -> Echelon:
     out.  For echelons that outlive the call; ``nullspace`` gives kernels.
     """
     ech = Echelon()
-    for j, col in enumerate(columns):
-        if j not in skip:
-            ech.add(col, 1 << j)
+    rows = ech.rows
+    for j, v in enumerate(columns):
+        if j in skip:
+            continue
+        track = 1 << j
+        while v:
+            p = (v ^ (v - 1)).bit_length() - 1
+            row = rows.get(p)
+            if row is None:
+                rows[p] = (v, track)
+                break
+            v ^= row[0]
+            track ^= row[1]
     return ech
 
 

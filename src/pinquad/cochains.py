@@ -428,11 +428,15 @@ def cup(u: Cochain, v: Cochain) -> Cochain:
 
 
 def sq(i: int, c: Cochain) -> Cochain:
-    """Cochain Steenrod square: Sq^i c = c u_{k-i} c + c u_{k-i+1} dc."""
+    """Cochain Steenrod square: Sq^i c = c u_{k-i} c + c u_{k-i+1} dc.
+
+    Both terms lie in degree k + i, so Sq^i c is the zero cochain, and dc is
+    not built, when i > k + 1 or the complex has no (k+i)-simplex.
+    """
     if c.ring != Z2:
         raise RingMismatch("Sq^i is defined on Z2 cochains")
     k = c.degree
-    if i > k + 1:  # both cup terms vanish by degree
+    if i > k + 1 or k + i not in c.complex.simplices_by_dim:
         return Cochain._of(c.complex, k + i, Z2, {})
     return cup_i(c, c, k - i) + cup_i(c, d(c), k - i + 1)
 

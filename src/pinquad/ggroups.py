@@ -12,9 +12,11 @@ without that sequence: it enumerates the pairs E with w stored modulo the
 central coboundaries (df, 0), in the normal form of the GF(2) layer,
 closes (0, 0) under the (Sq^2 c, dc) generators to the relation subgroup
 N, and counts: |E| / |N| classes, and the classes whose square (p u_{n-2}
-p, 0) lies in N.  Its summands and order come from the enumeration alone;
-the dims it reports are the sequence's, so they agree with the closed form
-by construction.
+p, 0) lies in N.  Its summands, order and dims all come from those counts:
+rank phi is the number of Z/4 summands, dim SH^{n-1} is log2 of the number
+of solvable p less rank d_{n-2}, and dim QH^n is the rest of log2 of the
+order.  It builds no cohomology solver and no sequence; the mod-2
+operators are all it shares with the closed form.
 """
 
 from __future__ import annotations
@@ -309,6 +311,13 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     group has |E| / |N| classes.  The square (p u_{n-2} p, 0) of (w, p)
     depends on p alone and is additive in p, so the classes of order at
     most 2 number #{p : (p u_{n-2} p, 0) in N} * |Z^n/B^n| / |N|.
+
+    The dims are read off the same counts, not off the exact sequence.  The
+    solvable p form a subspace of Z^{n-1} that holds B^{n-1}, and its
+    quotient is ker(Sq^2: H^{n-1} -> H^{n+1}) = SH^{n-1}, so dim SH is
+    log2 of their number less rank d_{n-2}; rank phi is the number a of
+    Z/4 summands, and dim QH is log2 of the order less dim SH.  Counts that
+    fit no such dims raise InvariantViolation.
     """
     x = pair.ambient
     e_list = pair.relative_simplices(n - 1)
@@ -338,6 +347,9 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
         if not rem:
             w0[pb] = normal(w)
             squares.append(combine(sq_basis, a))
+    solvable = len(w0).bit_length() - 1
+    if 1 << solvable != len(w0):
+        raise InvariantViolation(f"{len(w0)} solvable p do not form a subspace")
 
     def land(w: int, p: int) -> None:
         """Refuse a normal-form pair (w, p) outside E."""
@@ -351,7 +363,8 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     def cup_rows(rp: Cochain) -> List[int]:
         return [to_bits(pair, cup_i(dual_cochain(x, e), rp, n - 2)) for e in e_list]
 
-    for t, rp in zip(pair.relative_simplices(n - 2), coboundary_bits(pair, n - 2)):
+    d_c = coboundary_bits(pair, n - 2)
+    for t, rp in zip(pair.relative_simplices(n - 2), d_c):
         gens.append((normal(to_bits(pair, sq(2, dual_cochain(x, t)))), rp,
                      cup_rows(from_bits(pair, n - 1, rp))))
 
@@ -382,12 +395,15 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     if not ((1 << s) == size and (1 << t_log) == involutions and a >= 0 and b >= 0):
         raise InvariantViolation(f"{size} classes with {involutions} involutions "
                                  "is not (Z/4)^a + (Z/2)^b")
-    summands = (4,) * a + (2,) * b
-    data = _sequence_data(pair, n)
+    sh = solvable - rank(d_c)
+    qh = s - sh
+    if a > sh or a > qh:
+        raise InvariantViolation(f"(Z/4)^{a} does not fit dim SH = {sh} "
+                                 f"and dim QH = {qh}")
     return GGroupStructure(
         n=n,
-        dims=(data.qh_dim, data.sh_dim, data.phi_rank),
-        summands=summands,
+        dims=(qh, sh, a),
+        summands=(4,) * a + (2,) * b,
         order=size,
     )
 

@@ -27,7 +27,7 @@ from pinquad.cochains import (
     wu_v2_check,
     zero_cochain,
 )
-from pinquad import errors
+from pinquad import cochains, errors
 from pinquad._gf2 import top_bits
 from pinquad.complexes import (
     ComplexPair,
@@ -659,6 +659,28 @@ class TestSqByDegree:
                     s = sq(i, c)
                     assert s.is_zero() and s.degree == k + i and s.ring == Z2
                     assert s == cup_i(c, c, k - i) + cup_i(c, d(c), k - i + 1)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_zero_above_the_dimension_without_building_dc(self, name, monkeypatch):
+        x = catalog(name).complex
+        rng = random.Random(name)
+        calls = []
+
+        def counted(c):
+            calls.append(c.degree)
+            return d(c)
+
+        for k in range(x.dim + 1):
+            c = random_cochain(rng, x, k, Z2, density=0.5)
+            for i in (0, 1, 2):
+                if k + i > x.dim:
+                    monkeypatch.setattr(cochains, "d", counted)
+                    s = sq(i, c)
+                    monkeypatch.undo()
+                    assert s.is_zero() and s.degree == k + i and s.ring == Z2
+                    assert calls == [], (k, i)
+                else:
+                    assert sq(i, c) == cup_i(c, c, k - i) + cup_i(c, d(c), k - i + 1)
 
 
 def assert_valid(c):

@@ -53,9 +53,10 @@ def low(x):
     return (x & -x).bit_length() - 1
 
 
-def lowest_bit_kernel(columns, skip=()):
-    """The kernel trackers of a lowest-bit elimination written out here,
-    one per column that reduces to zero, in column order."""
+def lowest_bit_elimination(columns, skip=()):
+    """A lowest-bit elimination written out here: the rows keyed by their
+    lowest bit, with their trackers, and the kernel trackers, one per
+    column that reduces to zero, in column order."""
     rows = {}
     kernel = []
     for j, v in enumerate(columns):
@@ -69,7 +70,11 @@ def lowest_bit_kernel(columns, skip=()):
             rows[low(v)] = (v, t)
         else:
             kernel.append(t)
-    return kernel
+    return rows, kernel
+
+
+def lowest_bit_kernel(columns, skip=()):
+    return lowest_bit_elimination(columns, skip)[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,6 +100,15 @@ def test_kernel_does_not_depend_on_the_pivot_rule(case):
     assert len(kernel) == len(kept) - bf_rank(kept)
     assert all(xor_of(cols, t) == 0 and not any((t >> j) & 1 for j in skip)
                for t in kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([8, 64, 200]).flatmap(lambda r: vectors(r, 12)).flatmap(
+    lambda cols: st.tuples(st.just(cols), st.sets(st.integers(0, 11)))))
+def test_eliminate_is_the_written_out_lowest_bit_echelon(case):
+    # rows and trackers bit for bit, on columns wider than a machine word
+    cols, skip = case
+    assert eliminate(cols, skip).rows == lowest_bit_elimination(cols, skip)[0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,17 +9,19 @@ from pinquad.cochains import (
     CohomologySolver,
     QMODZ,
     Z2,
+    coboundary_bits,
     cup_i,
     d,
     dual_cochain,
     embed_z2_qmodz,
+    from_bits,
     integrate,
     sq,
     zero_cochain,
 )
-from pinquad.complexes import absolute_pair, build_complex, validate_manifold
+from pinquad.complexes import ComplexPair, absolute_pair, build_complex, validate_manifold
 from pinquad.cli import main
-from pinquad import ggroups
+from pinquad import _gf2, ggroups
 from pinquad.errors import BudgetExceeded, InvariantViolation, NotACocycle, PairMismatch, check_budget
 from pinquad.fixtures import TORUS_TRIANGLES, catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.ggroups import (
@@ -230,14 +232,31 @@ class TestOracle:
         ("sphere3", 2), ("sphere3", 3), ("sphere3", 4), ("rp2", 3),
         ("disk3", 1), ("disk3", 2), ("disk3", 3), ("disk3", 4),
         ("sphere4", 1), ("sphere4", 2), ("sphere4", 3), ("sphere4", 4), ("sphere4", 5),
-        ("mobius", 2),
+        ("mobius", 2), ("annulus", 2), ("disk2", 2), ("sphere2", 2),
     ])
-    def test_engines_agree_beyond_rp2(self, name, n):
+    def test_engines_agree_beyond_rp2(self, name, n, monkeypatch):
+        # the oracle reads its dims off its own counts: on a fresh pair it
+        # must agree with the closed form without building the sequence
         pair = catalog(name).pair
         g = g_pin(pair, n)
-        gb = g_pin_bruteforce(pair, n)
+
+        def refuse(*args):
+            raise AssertionError("the oracle built the exact sequence")
+
+        monkeypatch.setattr(ggroups, "_SequenceData", refuse)
+        gb = g_pin_bruteforce(ComplexPair(pair.ambient, pair.sub), n)
         assert (gb.summands, gb.order) == (g.summands, g.order)
         assert gb.dims == g.dims
+
+    @pytest.mark.parametrize("name,n", [
+        ("rp2", 2), ("torus", 2), ("klein", 1), ("mobius", 2), ("sphere3", 3),
+    ])
+    def test_oracle_builds_no_solver(self, name, n):
+        pair = catalog(name).pair
+        fresh = ComplexPair(pair.ambient, pair.sub)
+        g_pin_bruteforce(fresh, n)
+        assert ("sequence", n) not in fresh.cache
+        assert not [key for key in fresh.cache if key[0] == "solver"]
 
     def test_torus_takes_under_a_second(self):
         # a fresh complex, so no operator is cached from another test
@@ -256,6 +275,25 @@ class TestOracle:
         with pytest.raises(InvariantViolation, match="missing"):
             g_pin_bruteforce(sphere3.pair, 2)
 
+    def test_solvable_p_off_a_subspace_is_an_invariant_violation(self, monkeypatch):
+        # every p in Z^1 of the 3-sphere is solvable; a square that is no
+        # coboundary for one p leaves 15 of 16, which no subspace holds
+        sphere3 = catalog("sphere3")
+        pair, x = sphere3.pair, sphere3.complex
+        lost = from_bits(pair, 1, _gf2.nullspace(coboundary_bits(pair, 1))[0])
+        top = dual_cochain(x, x.simplices(3)[0])  # the generator of H^3
+        monkeypatch.setattr(ggroups, "sq", lambda i, c: top if c == lost else sq(i, c))
+        with pytest.raises(InvariantViolation, match="^15 solvable p do not form a subspace$"):
+            g_pin_bruteforce(pair, 2)
+
+    @pytest.mark.parametrize("off", [1, -1])
+    def test_z4_summands_past_sh_or_qh_are_an_invariant_violation(self, rp2, off, monkeypatch):
+        # rp2 has one Z/4 summand and dim SH = dim QH = 1; a rank of d_0 off
+        # by one in either direction leaves no room for it
+        monkeypatch.setattr(ggroups, "rank", lambda rows: _gf2.rank(rows) + off)
+        with pytest.raises(InvariantViolation, match=r"^\(Z/4\)\^1 does not fit"):
+            g_pin_bruteforce(rp2.pair, 2)
+
     def test_engines_agree_across_dimensions(self, rp2, sphere1, disk2):
         cases = [
             (rp2.pair, 1),        # pairs (w, p) in degrees (1, 0)
@@ -270,6 +308,7 @@ class TestOracle:
             gb = g_pin_bruteforce(pair, n)
             assert g.same_profile(gb), (n, g.summands, gb.summands)
             assert g.order == gb.order
+            assert g.dims == gb.dims, (n, g.dims, gb.dims)
 
 
 class TestFunctoriality:
