@@ -367,7 +367,10 @@ class ManifoldPair:
         return cached(self, "boundary_complex", self.pair.sub_complex)
 
     def absolute(self) -> ComplexPair:
-        """(X, empty) on this manifold's complex, one object per manifold."""
+        """(X, empty) on this manifold's complex, one object per manifold: a
+        closed manifold's own pair, so its operators and solvers serve both."""
+        if self.closed:
+            return self.pair
         return cached(self, "absolute", lambda: ComplexPair(self.complex, ()))
 
     def __repr__(self) -> str:

@@ -47,6 +47,7 @@ from .cochains import (
 from .complexes import ComplexPair, ManifoldPair, SimplicialMap, cached
 from .errors import (
     SIZE_BUDGET,
+    ComplexMismatch,
     InvariantViolation,
     NotACocycle,
     NotRelative,
@@ -80,6 +81,8 @@ class GPair(_GPairFields):
 
     def __new__(cls, pair: ComplexPair, n: int, mode: str, w: Cochain,
                 p: Cochain) -> "GPair":
+        if w.complex is not pair.ambient or p.complex is not pair.ambient:
+            raise ComplexMismatch("w and p must live on the pair's complex")
         if p.degree != n - 1 or p.ring != Z2:
             raise ValueError("p must be a Z2 cochain of degree n-1")
         if not p.is_relative(pair) or not w.is_relative(pair):
@@ -153,18 +156,13 @@ def pin_to_spin(a: GPair) -> GPair:
 
 class _SequenceData:
     def __init__(self, pair: ComplexPair, n: int) -> None:
-        self.pair = pair
-        self.n = n
-        self.s_nm2 = solver(pair, n - 2) if n >= 2 else None
         self.s_nm1 = solver(pair, n - 1)
         self.s_n = solver(pair, n)
         self.s_np1 = solver(pair, n + 1)
 
         # image of Sq^2 from H^{n-2} inside H^n
-        self.b_rows: List[int] = []
-        if self.s_nm2 is not None:
-            for c in self.s_nm2.basis:
-                self.b_rows.append(self.s_n._decompose_bits(sq(2, c))[0])
+        self.b_rows = [self.s_n._decompose_bits(sq(2, c))[0]
+                       for c in solver(pair, n - 2).basis]
         self.b_rank = rank(self.b_rows)
 
         # Sq^2 out of H^{n-1}, kernel = SH
@@ -463,36 +461,28 @@ class SpinProfile(NamedTuple):
 
 
 def g_spin_profile(m, n: int) -> SpinProfile:
+    """The G_n^spin sequence terms of a pair or a ManifoldPair, resolved at
+    the top degree of a connected nonorientable manifold, where
+    H^n(M, bd M; R/Z) = Hom(H_n; R/Z) = 0 leaves SH^{n-1}.  Connectedness
+    (dim H^0(M) = 1, from ``m.absolute()``) is read only in that case."""
     pair = m.pair if isinstance(m, ManifoldPair) else m
     data = _sequence_data(pair, n)
-    manifold = m if isinstance(m, ManifoldPair) else None
-    connected = (manifold is not None
-                 and solver(manifold.absolute(), 0).dim == 1)
-    if (manifold is not None and n == manifold.n and connected
-            and not manifold.orientable):
-        # H^n(M, bd M; R/Z) = Hom(H_n; R/Z) = 0 for connected nonorientable M,
-        # so the sequence collapses onto SH^{n-1}.
-        return SpinProfile(
-            n=n,
-            sh_dim=data.sh_dim,
-            hn_f2_dim=data.s_n.dim,
-            sq2_into_hn_rank=data.b_rank,
-            resolved=True,
-            summands=(2,) * data.sh_dim,
-            note="QH^n(R/Z) vanishes; group is SH^{n-1}",
-        )
-    note = (
-        "H^n(X; R/Z) carries a divisible summand or undetermined torsion; "
-        "sequence terms reported, extension unresolved"
-    )
-    if manifold is not None and n == manifold.n and manifold.orientable:
-        note = "orientable: H^n(M, bd M; R/Z) has a circle summand; unresolved"
+    top = isinstance(m, ManifoldPair) and n == m.n
+    if top and not m.orientable and solver(m.absolute(), 0).dim == 1:
+        resolved, summands = True, (2,) * data.sh_dim
+        note = "QH^n(R/Z) vanishes; group is SH^{n-1}"
+    else:
+        resolved, summands = False, None
+        note = ("orientable: H^n(M, bd M; R/Z) has a circle summand; unresolved"
+                if top and m.orientable else
+                "H^n(X; R/Z) carries a divisible summand or undetermined torsion; "
+                "sequence terms reported, extension unresolved")
     return SpinProfile(
         n=n,
         sh_dim=data.sh_dim,
         hn_f2_dim=data.s_n.dim,
         sq2_into_hn_rank=data.b_rank,
-        resolved=False,
-        summands=None,
+        resolved=resolved,
+        summands=summands,
         note=note,
     )

@@ -4,6 +4,11 @@ Each suite draws small random ordered complexes (dimension <= 5) and random
 cochains, and checks one identity exactly; a trial is one drawn instance.
 The suites are shared by the test suite and the command line runner, and a
 deliberately wrong sign can be injected as a mutation control.
+
+A suite is declared once: ``@_suite(name, max_dim)`` on its one-trial body
+makes the public ``<name>_suite(trials, seed, cup)`` and enters it in
+``_SUITES``, the one table of suites, whose keys in declaration order are
+``ALL_SUITES`` and where ``run_suites`` looks each suite up.
 """
 
 from __future__ import annotations
@@ -103,173 +108,145 @@ class _Pool:
         return z
 
 
-def _run(name: str, trials: int, seed: int, max_dim: int,
-         body: Callable[[random.Random, _Pool, IdentityReport, int], None]
-         ) -> IdentityReport:
-    rng = random.Random(f"{name}:{seed}")
-    pool = _Pool(rng, max_dim=max_dim)
-    report = IdentityReport(name, trials)
-    for t in range(trials):
-        body(rng, pool, report, t)
-    return report
+_SUITES: Dict[str, Callable[..., IdentityReport]] = {}
 
 
-def coboundary_suite(trials: int = 1000, seed: int = 0,
-                     cup: Callable = cup_i) -> IdentityReport:
+def _suite(name: str, max_dim: int):
+    """Wrap a one-trial body (rng, pool, report, t, cup) into the suite
+    `name` on complexes of dimension <= max_dim, entered in _SUITES."""
+
+    def declare(body: Callable[..., None]) -> Callable[..., IdentityReport]:
+        def suite(trials: int = 1000, seed: int = 0,
+                  cup: Callable = cup_i) -> IdentityReport:
+            rng = random.Random(f"{name}:{seed}")
+            pool = _Pool(rng, max_dim=max_dim)
+            report = IdentityReport(name, trials)
+            for t in range(trials):
+                body(rng, pool, report, t, cup)
+            return report
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        suite.__doc__ = body.__doc__
+        _SUITES[name] = suite
+        return suite
+
+    return declare
+
+
+@_suite("coboundary", 5)
+def coboundary_suite(rng, pool, report, t, cup):
     """d(X u_i Y) = (-1)^i (dX u_i Y + (-1)^|X| X u_i dY
                            - X u_{i-1} Y - (-1)^{i+|X||Y|} Y u_{i-1} X)."""
-
-    def body(rng, pool, report, t):
-        x = pool.pick(rng)
-        p = rng.randint(0, min(4, x.dim))
-        q = rng.randint(0, min(4, x.dim))
-        i = rng.randint(0, min(p, q))
-        X = random_cochain(rng, x, p, INT)
-        Y = random_cochain(rng, x, q, INT)
-        lhs = d(cup(X, Y, i))
-        xdy = cup(X, d(Y), i)
-        yx = cup(Y, X, i - 1)
-        rhs = (cup(d(X), Y, i) + (-xdy if p % 2 else xdy) - cup(X, Y, i - 1)
-               + (yx if (i + p * q) % 2 else -yx))
-        if i % 2:
-            rhs = -rhs
-        if lhs != rhs:
-            report.failures.append(f"trial {t}: p={p} q={q} i={i}")
-
-    return _run("coboundary", trials, seed, 5, body)
+    x = pool.pick(rng)
+    p = rng.randint(0, min(4, x.dim))
+    q = rng.randint(0, min(4, x.dim))
+    i = rng.randint(0, min(p, q))
+    X = random_cochain(rng, x, p, INT)
+    Y = random_cochain(rng, x, q, INT)
+    lhs = d(cup(X, Y, i))
+    xdy = cup(X, d(Y), i)
+    yx = cup(Y, X, i - 1)
+    rhs = (cup(d(X), Y, i) + (-xdy if p % 2 else xdy) - cup(X, Y, i - 1)
+           + (yx if (i + p * q) % 2 else -yx))
+    if i % 2:
+        rhs = -rhs
+    if lhs != rhs:
+        report.failures.append(f"trial {t}: p={p} q={q} i={i}")
 
 
-def sq2_sum_rule_suite(trials: int = 1000, seed: int = 0,
-                       cup: Callable = cup_i) -> IdentityReport:
+@_suite("sq2_sum_rule", 5)
+def sq2_sum_rule_suite(rng, pool, report, t, cup):
     """Sq^2(c'+c) = Sq^2 c' + Sq^2 c + dc' u_k dc + d(c' u_{k-1} c + dc' u_k c)."""
-
-    def body(rng, pool, report, t):
-        x = pool.pick(rng)
-        k = rng.randint(1, max(1, min(4, x.dim)))
-        cp = random_cochain(rng, x, k, Z2)
-        c = random_cochain(rng, x, k, Z2)
-        lhs = sq(2, cp + c)
-        rhs = (sq(2, cp) + sq(2, c) + cup(d(cp), d(c), k)
-               + d(cup(cp, c, k - 1) + cup(d(cp), c, k)))
-        if lhs != rhs:
-            report.failures.append(f"trial {t}: k={k}")
-
-    return _run("sq2_sum_rule", trials, seed, 5, body)
+    x = pool.pick(rng)
+    k = rng.randint(1, max(1, min(4, x.dim)))
+    cp = random_cochain(rng, x, k, Z2)
+    c = random_cochain(rng, x, k, Z2)
+    lhs = sq(2, cp + c)
+    rhs = (sq(2, cp) + sq(2, c) + cup(d(cp), d(c), k)
+           + d(cup(cp, c, k - 1) + cup(d(cp), c, k)))
+    if lhs != rhs:
+        report.failures.append(f"trial {t}: k={k}")
 
 
-def sq2_sum_rule_cocycle_suite(trials: int = 1000, seed: int = 0,
-                               cup: Callable = cup_i) -> IdentityReport:
+@_suite("sq2_sum_rule_cocycle", 5)
+def sq2_sum_rule_cocycle_suite(rng, pool, report, t, cup):
     """For a cocycle c': Sq^2(c'+c) = Sq^2 c' + Sq^2 c + d(c' u_{k-1} c)."""
-
-    def body(rng, pool, report, t):
-        x = pool.pick(rng)
-        k = rng.randint(1, max(1, min(4, x.dim)))
-        c = random_cochain(rng, x, k, Z2)
-        cp = pool.random_cocycle(rng, x, k)
-        lhs = sq(2, cp + c)
-        rhs = sq(2, cp) + sq(2, c) + d(cup(cp, c, k - 1))
-        if lhs != rhs:
-            report.failures.append(f"trial {t}: k={k}")
-
-    return _run("sq2_sum_rule_cocycle", trials, seed, 5, body)
+    x = pool.pick(rng)
+    k = rng.randint(1, max(1, min(4, x.dim)))
+    c = random_cochain(rng, x, k, Z2)
+    cp = pool.random_cocycle(rng, x, k)
+    lhs = sq(2, cp + c)
+    rhs = sq(2, cp) + sq(2, c) + d(cup(cp, c, k - 1))
+    if lhs != rhs:
+        report.failures.append(f"trial {t}: k={k}")
 
 
-def sq_commutes_d_suite(trials: int = 1000, seed: int = 0,
-                        cup: Callable = cup_i) -> IdentityReport:
+@_suite("sq_commutes_d", 5)
+def sq_commutes_d_suite(rng, pool, report, t, cup):
     """Sq^i(dc) = d(Sq^i c) for Z2 cochains."""
-
-    def body(rng, pool, report, t):
-        x = pool.pick(rng)
-        k = rng.randint(0, min(4, x.dim))
-        i = rng.randint(0, k + 1)
-        c = random_cochain(rng, x, k, Z2)
-        dc = d(c)
-        lhs = cup(dc, dc, (k + 1) - i) + cup(dc, d(dc), (k + 1) - i + 1)
-        rhs = d(cup(c, c, k - i) + cup(c, dc, k - i + 1))
-        if lhs != rhs:
-            report.failures.append(f"trial {t}: k={k} i={i}")
-
-    return _run("sq_commutes_d", trials, seed, 5, body)
+    x = pool.pick(rng)
+    k = rng.randint(0, min(4, x.dim))
+    i = rng.randint(0, k + 1)
+    c = random_cochain(rng, x, k, Z2)
+    dc = d(c)
+    lhs = cup(dc, dc, (k + 1) - i) + cup(dc, d(dc), (k + 1) - i + 1)
+    rhs = d(cup(c, c, k - i) + cup(c, dc, k - i + 1))
+    if lhs != rhs:
+        report.failures.append(f"trial {t}: k={k} i={i}")
 
 
-def suspension_shifts_cup_suite(trials: int = 1000, seed: int = 0,
-                                cup: Callable = cup_i) -> IdentityReport:
+@_suite("suspension_shifts_cup", 4)
+def suspension_shifts_cup_suite(rng, pool, report, t, cup):
     """s(x u_i y) = (-1)^{|x|+i+1} sx u_{i+1} sy over Int and Z2."""
-
-    def body(rng, pool, report, t):
-        x, ctx = pool.pick_with_suspension(rng)
-        ring = INT if t % 2 == 0 else Z2
-        p = rng.randint(0, min(3, x.dim))
-        q = rng.randint(0, min(3, x.dim))
-        i = rng.randint(0, min(p, q))
-        X = random_cochain(rng, x, p, ring)
-        Y = random_cochain(rng, x, q, ring)
-        lhs = suspend(ctx, cup(X, Y, i))
-        rhs = cup(suspend(ctx, X), suspend(ctx, Y), i + 1)
-        if (p + i + 1) % 2:
-            rhs = -rhs
-        if lhs != rhs:
-            report.failures.append(f"trial {t}: ring={ring} p={p} q={q} i={i}")
-
-    return _run("suspension_shifts_cup", trials, seed, 4, body)
+    x, ctx = pool.pick_with_suspension(rng)
+    ring = INT if t % 2 == 0 else Z2
+    p = rng.randint(0, min(3, x.dim))
+    q = rng.randint(0, min(3, x.dim))
+    i = rng.randint(0, min(p, q))
+    X = random_cochain(rng, x, p, ring)
+    Y = random_cochain(rng, x, q, ring)
+    lhs = suspend(ctx, cup(X, Y, i))
+    rhs = cup(suspend(ctx, X), suspend(ctx, Y), i + 1)
+    if (p + i + 1) % 2:
+        rhs = -rhs
+    if lhs != rhs:
+        report.failures.append(f"trial {t}: ring={ring} p={p} q={q} i={i}")
 
 
-def sd_equals_ds_suite(trials: int = 1000, seed: int = 0,
-                       cup: Callable = cup_i) -> IdentityReport:
+@_suite("sd_equals_ds", 4)
+def sd_equals_ds_suite(rng, pool, report, t, cup):
     """sd = ds over Int, Z2, Z4 and QmodZ."""
-
-    def body(rng, pool, report, t):
-        x, ctx = pool.pick_with_suspension(rng)
-        ring = (INT, Z2, Z4, QMODZ)[t % 4]
-        k = rng.randint(0, min(3, x.dim))
-        c = random_cochain(rng, x, k, ring)
-        if suspend(ctx, d(c)) != d(suspend(ctx, c)):
-            report.failures.append(f"trial {t}: ring={ring} k={k}")
-
-    return _run("sd_equals_ds", trials, seed, 4, body)
+    x, ctx = pool.pick_with_suspension(rng)
+    ring = (INT, Z2, Z4, QMODZ)[t % 4]
+    k = rng.randint(0, min(3, x.dim))
+    c = random_cochain(rng, x, k, ring)
+    if suspend(ctx, d(c)) != d(suspend(ctx, c)):
+        report.failures.append(f"trial {t}: ring={ring} k={k}")
 
 
-def suspension_cup0_suite(trials: int = 1000, seed: int = 0,
-                          cup: Callable = cup_i) -> IdentityReport:
+@_suite("suspension_cup0", 4)
+def suspension_cup0_suite(rng, pool, report, t, cup):
     """sx u_0 sy = 0 identically on the suspension."""
-
-    def body(rng, pool, report, t):
-        x, ctx = pool.pick_with_suspension(rng)
-        p = rng.randint(0, min(3, x.dim))
-        q = rng.randint(0, min(3, x.dim))
-        X = random_cochain(rng, x, p, INT)
-        Y = random_cochain(rng, x, q, INT)
-        if not cup(suspend(ctx, X), suspend(ctx, Y), 0).is_zero():
-            report.failures.append(f"trial {t}: p={p} q={q}")
-
-    return _run("suspension_cup0", trials, seed, 4, body)
+    x, ctx = pool.pick_with_suspension(rng)
+    p = rng.randint(0, min(3, x.dim))
+    q = rng.randint(0, min(3, x.dim))
+    X = random_cochain(rng, x, p, INT)
+    Y = random_cochain(rng, x, q, INT)
+    if not cup(suspend(ctx, X), suspend(ctx, Y), 0).is_zero():
+        report.failures.append(f"trial {t}: p={p} q={q}")
 
 
-def dd_zero_suite(trials: int = 1000, seed: int = 0,
-                  cup: Callable = cup_i) -> IdentityReport:
+@_suite("dd_zero", 5)
+def dd_zero_suite(rng, pool, report, t, cup):
     """dd = 0 over every ring."""
-
-    def body(rng, pool, report, t):
-        x = pool.pick(rng)
-        ring = (INT, Z2, Z4, QMODZ)[t % 4]
-        k = rng.randint(0, min(4, x.dim))
-        c = random_cochain(rng, x, k, ring)
-        if not d(d(c)).is_zero():
-            report.failures.append(f"trial {t}: ring={ring} k={k}")
-
-    return _run("dd_zero", trials, seed, 5, body)
+    x = pool.pick(rng)
+    ring = (INT, Z2, Z4, QMODZ)[t % 4]
+    k = rng.randint(0, min(4, x.dim))
+    c = random_cochain(rng, x, k, ring)
+    if not d(d(c)).is_zero():
+        report.failures.append(f"trial {t}: ring={ring} k={k}")
 
 
-_SUITES: Dict[str, Callable] = {
-    "coboundary": coboundary_suite,
-    "sq2_sum_rule": sq2_sum_rule_suite,
-    "sq2_sum_rule_cocycle": sq2_sum_rule_cocycle_suite,
-    "sq_commutes_d": sq_commutes_d_suite,
-    "suspension_shifts_cup": suspension_shifts_cup_suite,
-    "sd_equals_ds": sd_equals_ds_suite,
-    "suspension_cup0": suspension_cup0_suite,
-    "dd_zero": dd_zero_suite,
-}
 ALL_SUITES = tuple(_SUITES)
 
 
@@ -286,8 +263,5 @@ def run_suites(trials: int = 1000, seed: int = 0,
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; the suites are {', '.join(ALL_SUITES)}")
     cup = _mutant_cup if mutate_signs else cup_i
-    out = []
-    for name in names:
-        out.append(_SUITES[name](trials=trials, seed=seed, cup=cup))
-    return out
+    return [_SUITES[name](trials=trials, seed=seed, cup=cup) for name in names]
 

@@ -87,6 +87,7 @@ from .errors import (
     DegenerateSum,
     DegreeZero,
     EmptyBoundary,
+    InvariantViolation,
     NotACocycle,
     NotClosedSurface,
     NotNeatlyEmbedded,
@@ -313,7 +314,7 @@ def v1_witness(m: ManifoldPair) -> Cochain:
     rows = [de | (pj << shift) for de, pj in zip(coboundary_bits(absolute, 1), ctx.pairing)]
     sol = _gf2.solve(rows, sum(s << (shift + j) for j, s in enumerate(ctx.sq1)))
     if sol is None:
-        raise NotACocycle("no v1 witness cocycle exists (should not happen)")
+        raise InvariantViolation("no v1 witness cocycle solves the degree-1 Wu relation")
     return from_bits(absolute, 1, sol)
 
 

@@ -372,6 +372,24 @@ class TestCatalog:
         with pytest.raises(UnknownFixture):
             catalog("lens_space")
 
+    @pytest.mark.parametrize("name", ["sphere5", "sphere-1", "disk0", "disk4", "cp3"])
+    def test_names_outside_the_catalog_are_refused_before_building(self, name):
+        with pytest.raises(UnknownFixture):
+            catalog(name)
+
+    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if catalog(n).closed])
+    def test_a_closed_manifold_is_its_own_absolute_pair(self, name):
+        m = catalog(name)
+        assert m.absolute() is m.pair
+
+    @pytest.mark.parametrize("name", ["annulus", "mobius", "disk1", "disk2", "disk3",
+                                      "solid_torus"])
+    def test_a_bounded_manifold_caches_one_absolute_pair(self, name):
+        m = catalog(name)
+        a = m.absolute()
+        assert a is m.absolute() and a is not m.pair
+        assert a.ambient is m.complex and not a.sub and m.pair.sub
+
     def test_catalog_names_all_build(self):
         for name in CATALOG_NAMES:
             m = catalog(name)

@@ -423,6 +423,32 @@ class TestSpinProfile:
         prof = g_spin_profile(torus, 2)
         assert not prof.resolved and prof.sh_dim == 2
 
+    def test_klein_resolved_onto_sh(self, klein):
+        prof = g_spin_profile(klein, 2)
+        assert prof.resolved and prof.summands == (2,) * prof.sh_dim
+        assert prof.note == "QH^n(R/Z) vanishes; group is SH^{n-1}"
+
+    @pytest.mark.parametrize("name", ["torus", "solid_torus"])
+    def test_orientable_top_degree_note(self, name):
+        m = catalog(name)
+        prof = g_spin_profile(m, m.n)
+        assert not prof.resolved and prof.summands is None
+        assert prof.note == "orientable: H^n(M, bd M; R/Z) has a circle summand; unresolved"
+
+    def test_off_the_top_degree_note(self, annulus):
+        prof = g_spin_profile(annulus, 1)
+        assert not prof.resolved and prof.summands is None
+        assert prof.note.startswith("H^n(X; R/Z) carries a divisible summand")
+        # a bare pair is never resolved, at the top degree too
+        assert g_spin_profile(catalog("rp2").pair, 2).note == prof.note
+
+    def test_connectedness_is_read_only_where_it_decides(self, annulus):
+        # an orientable manifold is unresolved at the top whether connected
+        # or not, so no H^0 solver is built for it
+        fresh = validate_manifold(annulus.complex, 2)
+        g_spin_profile(fresh, 2)
+        assert ("solver", 0) not in fresh.absolute().cache
+
     def test_mixed_disjoint_union_not_resolved(self, rp2, torus):
         # an orientable component smuggles in a circle summand, so the
         # nonorientable shortcut must not fire on disconnected input
@@ -441,3 +467,32 @@ def test_default_budget_refuses_the_solid_torus(solid_torus, capsys):
         g_pin_bruteforce(solid_torus.pair, 3)
     assert main(["ggroup", "--fixture", "solid_torus", "--engine", "bruteforce"]) == 2
     assert "BudgetExceeded" in capsys.readouterr().err
+
+
+# g_pin summands and qh_sh below degree 2, where H^{n-2} has no classes
+LOW_DEGREES = {
+    "sphere0": [((2, 2), (2, 0, 0)), ((2, 2), (0, 2, 0))],
+    "sphere1": [((2,), (1, 0, 0)), ((2, 2), (1, 1, 0))],
+    "sphere2": [((2,), (1, 0, 0)), ((2,), (0, 1, 0))],
+    "sphere3": [((2,), (1, 0, 0)), ((2,), (0, 1, 0))],
+    "sphere4": [((2,), (1, 0, 0)), ((2,), (0, 1, 0))],
+    "disk1": [((), (0, 0, 0)), ((2,), (1, 0, 0))],
+    "disk2": [((), (0, 0, 0)), ((), (0, 0, 0))],
+    "disk3": [((), (0, 0, 0)), ((), (0, 0, 0))],
+    "rp2": [((2,), (1, 0, 0)), ((2, 2), (1, 1, 0))],
+    "torus": [((2,), (1, 0, 0)), ((2, 2, 2), (2, 1, 0))],
+    "klein": [((2,), (1, 0, 0)), ((2, 2, 2), (2, 1, 0))],
+    "mobius": [((), (0, 0, 0)), ((2,), (1, 0, 0))],
+    "annulus": [((), (0, 0, 0)), ((2,), (1, 0, 0))],
+    "solid_torus": [((), (0, 0, 0)), ((), (0, 0, 0))],
+    "cp2": [((2,), (1, 0, 0)), ((2,), (0, 1, 0))],
+}
+
+
+@pytest.mark.parametrize("name", LOW_DEGREES)
+def test_low_degrees_read_an_empty_h_n_minus_2(name):
+    pair = catalog(name).pair
+    for n, (summands, dims) in enumerate(LOW_DEGREES[name]):
+        fresh = ComplexPair(pair.ambient, pair.sub)
+        assert g_pin(fresh, n).summands == summands
+        assert qh_sh(fresh, n) == dims

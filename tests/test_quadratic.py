@@ -31,6 +31,7 @@ from pinquad.errors import (
     ConstraintViolation,
     DegreeZero,
     EmptyBoundary,
+    InvariantViolation,
     NotACocycle,
     NotClosedSurface,
     NotNeatlyEmbedded,
@@ -276,6 +277,14 @@ class TestActNegate:
             assert d(a).is_zero()
             for q in enumerate_quadratics(m, PIN):
                 assert negate(q) == act(q, a)
+
+    def test_missing_v1_witness_is_an_invariant_violation(self, rp2, monkeypatch):
+        from pinquad import _gf2
+
+        quad_context(rp2)
+        monkeypatch.setattr(_gf2, "solve", lambda rows, target: None)
+        with pytest.raises(InvariantViolation, match="no v1 witness"):
+            v1_witness(rp2)
 
 
 class TestBoundary:

@@ -18,9 +18,17 @@ from pinquad.complexes import (
     cylinder,
     suspension,
 )
-from pinquad.errors import NotACocycle, NotRelative
+from pinquad.errors import ComplexMismatch, NotACocycle, NotRelative
 from pinquad.fixtures import catalog, raw_annulus_pair
-from pinquad.ggroups import GGroupStructure, GPair, SpinProfile, g_identity, g_pin, g_spin_profile
+from pinquad.ggroups import (
+    GGroupStructure,
+    GPair,
+    SpinProfile,
+    g_identity,
+    g_pin,
+    g_pullback,
+    g_spin_profile,
+)
 from pinquad.identities import IdentityReport
 from pinquad.quadratic import (
     CylinderExtension,
@@ -193,6 +201,24 @@ class TestGPairChecks:
             GPair(rp2.pair, 2, SPIN, zero_cochain(x, 2, Z2), p)
         with pytest.raises(ValueError, match="unknown mode 'other'"):
             GPair(rp2.pair, 2, "other", zero_cochain(x, 2, Z2), p)
+
+    def test_w_on_another_complex(self):
+        rp2, torus = catalog("rp2"), catalog("torus")
+        with pytest.raises(ComplexMismatch):
+            GPair(rp2.pair, 2, PIN, zero_cochain(torus.complex, 2, Z2),
+                  zero_cochain(rp2.complex, 1, Z2))
+
+    def test_p_on_another_complex(self):
+        rp2, torus = catalog("rp2"), catalog("torus")
+        with pytest.raises(ComplexMismatch):
+            GPair(rp2.pair, 2, PIN, zero_cochain(rp2.complex, 2, Z2),
+                  zero_cochain(torus.complex, 1, Z2))
+
+    def test_pullback_labelled_with_a_pair_on_another_complex(self):
+        rp2, torus = catalog("rp2"), catalog("torus")
+        sd = barycentric_subdivide(rp2.complex)
+        with pytest.raises(ComplexMismatch):
+            g_pullback(sd.to_base, rp2.pair, torus.pair, g_identity(rp2.pair, 2))
 
     def test_cochains_on_the_boundary_are_not_relative(self):
         pair = raw_annulus_pair()

@@ -509,6 +509,55 @@ class TestCliNegativeCounts:
         assert all(name in str(info.value) for name in ALL_SUITES)
 
 
+# each suite's formula, as its docstring states it
+SUITE_FORMULAS = {
+    "coboundary": "d(X u_i Y) = (-1)^i (dX u_i Y + (-1)^|X| X u_i dY\n"
+                  "                           - X u_{i-1} Y - (-1)^{i+|X||Y|} Y u_{i-1} X).",
+    "sq2_sum_rule": "Sq^2(c'+c) = Sq^2 c' + Sq^2 c + dc' u_k dc + d(c' u_{k-1} c + dc' u_k c).",
+    "sq2_sum_rule_cocycle": "For a cocycle c': Sq^2(c'+c) = Sq^2 c' + Sq^2 c + d(c' u_{k-1} c).",
+    "sq_commutes_d": "Sq^i(dc) = d(Sq^i c) for Z2 cochains.",
+    "suspension_shifts_cup": "s(x u_i y) = (-1)^{|x|+i+1} sx u_{i+1} sy over Int and Z2.",
+    "sd_equals_ds": "sd = ds over Int, Z2, Z4 and QmodZ.",
+    "suspension_cup0": "sx u_0 sy = 0 identically on the suspension.",
+    "dd_zero": "dd = 0 over every ring.",
+}
+
+
+class TestSuiteTable:
+    def test_the_eight_suites_in_order(self):
+        from pinquad.identities import ALL_SUITES, _SUITES
+
+        assert ALL_SUITES == tuple(SUITE_FORMULAS) == tuple(_SUITES)
+
+    @pytest.mark.parametrize("name", SUITE_FORMULAS)
+    def test_each_public_suite_is_its_table_entry(self, name):
+        import inspect
+
+        from pinquad import identities
+        from pinquad.cochains import cup_i
+
+        suite = getattr(identities, f"{name}_suite")
+        assert suite is identities._SUITES[name]
+        assert suite.__name__ == f"{name}_suite"
+        assert suite.__doc__ == SUITE_FORMULAS[name]
+        params = inspect.signature(suite).parameters
+        assert [(p.name, p.default) for p in params.values()] == [
+            ("trials", 1000), ("seed", 0), ("cup", cup_i)]
+        report = suite(trials=3, seed=1)
+        assert report.name == name and report.trials == 3 and report.ok
+
+    def test_run_suites_runs_the_entry_in_the_table(self, monkeypatch):
+        from pinquad import identities
+
+        calls = []
+        real = identities._SUITES["dd_zero"]
+        monkeypatch.setitem(identities._SUITES, "dd_zero",
+                            lambda **kw: calls.append(kw) or real(**kw))
+        (report,) = identities.run_suites(trials=2, seed=4, names=["dd_zero"])
+        assert report == real(trials=2, seed=4)
+        assert calls == [{"trials": 2, "seed": 4, "cup": identities.cup_i}]
+
+
 def test_enumerate_past_the_budget_is_exit_2(tmp_path, capsys, eleven_tori):
     path = tmp_path / "tori.txt"
     path.write_text(format_complex(eleven_tori.complex))
