@@ -28,7 +28,7 @@ _EXPORTS = {
     "fixtures": ("CATALOG_NAMES", "catalog", "raw_annulus_pair", "raw_mobius_pair"),
     "ggroups": (
         "GGroupStructure", "GPair", "g_identity", "g_inverse", "g_pair",
-        "g_pin", "g_pin_bruteforce", "g_product", "g_pullback",
+        "SpinProfile", "g_pin", "g_pin_bruteforce", "g_product", "g_pullback",
         "g_spin_profile", "linear_to_quad", "pin_to_spin", "qh_sh",
         "quad_to_linear",
     ),
@@ -40,10 +40,7 @@ _EXPORTS = {
         "quadratic_from_prescribed", "restrict_codim0", "submanifold",
         "transfer_subdivision", "v1_witness", "verify_axioms",
     ),
-    "suspension": (
-        "SuspensionContext", "boundary_transfer", "collapse_transfer",
-        "cone_context", "desuspend", "suspend", "suspension_context",
-    ),
+    "suspension": ("boundary_transfer", "collapse_transfer", "desuspend", "suspend"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("cochains", "complexes", "errors", "fixtures", "ggroups",

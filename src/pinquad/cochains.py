@@ -292,9 +292,10 @@ def _tops(pair: ComplexPair, k: int) -> frozenset:
 
     The columns of d_k at ``_tops(pair, k - 1)`` are dependent on earlier
     ones (the clearing lemma of ``_gf2``), so they are skipped: the span,
-    and with it its top bits, is the same.  The image of d_k is 0 for k < 0.
+    and with it its top bits, is the same.  The image of d_k is 0 for k < 0
+    and for k >= dim, so the chain below a degree is at most dim long.
     """
-    if k < 0:
+    if k < 0 or k >= pair.ambient.dim:
         return frozenset()
     return cached(pair, ("tops", k), lambda: top_bits(
         coboundary_bits(pair, k), _tops(pair, k - 1)))

@@ -1,9 +1,10 @@
 """Ordered simplicial complexes, constructions, and manifold validation.
 
-Vertices are nonnegative ints.  A complex carries an integer rank per
-vertex; inside every simplex the ranks are strictly increasing, and simplex
-tuples are always stored in rank order.  Only the relative order within
-simplices ever matters.
+Vertices are ints, negative ones included; only the text format of
+``textio`` refuses them.  A complex carries an integer rank per vertex;
+inside every simplex the ranks are strictly increasing, and simplex tuples
+are always stored in rank order.  Only the relative order within simplices
+ever matters.
 
 Two constructors each.  ``OrderedComplex(...)`` and ``SimplicialMap(...)``
 take input from outside the engine (parsed files, tests, the covers of
@@ -350,10 +351,6 @@ class ManifoldPair:
         return self.pair.ambient
 
     @property
-    def fundamental(self) -> Tuple[Simplex, ...]:
-        return self.pair.ambient.simplices(self.n)
-
-    @property
     def closed(self) -> bool:
         return not self.pair.sub
 
@@ -498,7 +495,6 @@ class Subdivision(NamedTuple):
     complex: OrderedComplex
     to_base: SimplicialMap
     vertex_of: Dict[Simplex, int]
-    simplex_of: Dict[int, Simplex]
 
     def __repr__(self) -> str:
         return f"Subdivision(complex={self.complex!r}, to_base={self.to_base!r})"
@@ -513,8 +509,7 @@ def barycentric_subdivide(x: OrderedComplex) -> Subdivision:
     """
     cells = sorted(x.all_simplices(), key=lambda s: (len(s), s))
     vertex_of = {s: j for j, s in enumerate(cells)}
-    simplex_of = {j: s for s, j in vertex_of.items()}
-    rank = {j: len(simplex_of[j]) - 1 for j in simplex_of}
+    rank = {j: len(s) - 1 for j, s in enumerate(cells)}
     # the chains whose top face is s, listed after those of every proper face
     chains: Dict[Simplex, List[Simplex]] = {}
     for s in cells:
@@ -524,13 +519,13 @@ def barycentric_subdivide(x: OrderedComplex) -> Subdivision:
                              for c in chains[face]]
     sd = OrderedComplex._of(
         _by_dim(itertools.chain.from_iterable(chains.values())), rank)
-    b = SimplicialMap._of(sd, x, {j: simplex_of[j][-1] for j in simplex_of})
-    return Subdivision(sd, b, vertex_of, simplex_of)
+    b = SimplicialMap._of(sd, x, {j: s[-1] for j, s in enumerate(cells)})
+    return Subdivision(sd, b, vertex_of)
 
 
 class Cone(NamedTuple):
     pair: ComplexPair
-    apex: int
+    upper: int
     base: OrderedComplex
 
     @property
@@ -539,15 +534,15 @@ class Cone(NamedTuple):
 
 
 def cone(x: OrderedComplex) -> Cone:
-    """Cone with the apex ranked after every vertex of the base."""
-    apex = max(x.vertices) + 1
+    """Cone with the apex, ``upper``, ranked after every vertex of the base."""
+    upper = max(x.vertices) + 1
     rank = dict(x.rank)
-    rank[apex] = max(rank.values()) + 1
-    simplices = [(apex,)]
+    rank[upper] = max(rank.values()) + 1
+    simplices = [(upper,)]
     for s in x.all_simplices():
-        simplices += (s, s + (apex,))
+        simplices += (s, s + (upper,))
     cx = OrderedComplex._of(_by_dim(simplices), rank)
-    return Cone(ComplexPair(cx, x.all_simplices()), apex, x)
+    return Cone(ComplexPair(cx, x.all_simplices()), upper, x)
 
 
 class SuspensionComplex(NamedTuple):
@@ -615,9 +610,10 @@ def cylinder(x: OrderedComplex) -> Cylinder:
 
 
 class Collapse(NamedTuple):
+    """The collapse map onto ``cone``, the cone over bd M (its ``base``)."""
+
     map: SimplicialMap
     cone: Cone
-    boundary: OrderedComplex
 
 
 def collapse_map(m: ManifoldPair) -> Collapse:
@@ -629,12 +625,11 @@ def collapse_map(m: ManifoldPair) -> Collapse:
         raise BoundaryNotFull("collapse map needs a full boundary subcomplex")
     if not m.ordering_ok:
         raise OrderingViolation("collapse map needs boundary vertices ranked first")
-    boundary = m.boundary_complex()
-    c = cone(boundary)
+    c = cone(m.boundary_complex())
     vm = {}
     for v in m.complex.vertices:
-        vm[v] = v if v in m.pair.sub_vertices else c.apex
-    return Collapse(SimplicialMap(m.complex, c.complex, vm), c, boundary)
+        vm[v] = v if v in m.pair.sub_vertices else c.upper
+    return Collapse(SimplicialMap(m.complex, c.complex, vm), c)
 
 
 def disjoint_union(

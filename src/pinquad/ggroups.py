@@ -58,13 +58,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .quadratic import QuadraticFunction
 
-__all__ = [
-    "GPair", "g_pair", "g_identity", "g_product", "g_inverse", "g_pullback",
-    "pin_to_spin", "qh_sh", "g_pin", "g_pin_bruteforce", "GGroupStructure",
-    "quad_to_linear", "linear_to_quad", "g_spin_profile", "SpinProfile",
-]
-
-
 class _GPairFields(NamedTuple):
     pair: ComplexPair
     n: int

@@ -126,10 +126,10 @@ class _Context:
     - ``sq1[j]``: int(Sq^1 p_j) = cross[j][j], since Sq^1 p = p u_{n-2} p
       + p u_{n-1} dp and dp = 0.
 
-    From dimension 3 on, evaluation also reads ``sq2_rows`` of
-    ``_sq2_rows``.  They do not depend on the basis, cost more than the
-    four tables together, and serve only coboundaries, so they are built on
-    the first evaluation with dc != 0 and are None until then.
+    From dimension 3 on, evaluation also reads the rows of ``_sq2_rows``.
+    They do not depend on the basis, cost more than the four tables
+    together, and serve only coboundaries, so they are not in the context:
+    the first evaluation with dc != 0 builds them into the manifold's cache.
     """
 
     def __init__(self, m: ManifoldPair) -> None:
@@ -152,7 +152,6 @@ class _Context:
         self.pairing = [pairing.get(e, 0) for e in m.complex.simplices(1)]
         self.cross = [[bin(row & r).count("1") % 2 for r in reps] for row in self.rows]
         self.sq1 = tuple(row[j] for j, row in enumerate(self.cross))
-        self.sq2_rows: Optional[List[int]] = None
 
 
 def _sq2_rows(m: ManifoldPair) -> List[int]:
@@ -249,8 +248,9 @@ def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int
     2 int (c u_{n-4} c + c u_{n-3} dc + x u_{n-2} dc), nothing when dc = 0.
     The last term is linear in x, so it is read off the context's rows
     as the parity of (sum a_j row_j) & dc.  The two terms quadratic in c
-    make int Sq^2 c, zero below dimension 3, read off ``sq2_rows``, the
-    joined (n-2, n-4) and (n-2, n-3) cup forms of ``_sq2_rows``.
+    make int Sq^2 c, zero below dimension 3, read off the manifold's
+    cached ``sq2_rows``, the joined (n-2, n-4) and (n-2, n-3) cup forms of
+    ``_sq2_rows``.
     """
     val = 0
     support = [j for j in range(len(values)) if (coords >> j) & 1]
@@ -260,10 +260,9 @@ def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int
             val += 2 * ctx.cross[l][j]
     if dpre:
         val += 2 * bin(_gf2.combine(ctx.rows, coords) & dpre).count("1")
-        if ctx.manifold.n >= 3:
-            if ctx.sq2_rows is None:
-                ctx.sq2_rows = _sq2_rows(ctx.manifold)
-            table = ctx.sq2_rows
+        m = ctx.manifold
+        if m.n >= 3:
+            table = cached(m, "sq2_rows", lambda: _sq2_rows(m))
             val += 2 * bin(_gf2.combine(table, pre) & (pre | dpre << len(table))).count("1")
     return val % 4
 

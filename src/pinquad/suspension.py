@@ -11,53 +11,32 @@ e.g. on prism cylinders).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Union
 
 from .cochains import Cochain, extend_by_zero, d, pullback
-from .complexes import (
-    Collapse,
-    Cone,
-    ManifoldPair,
-    OrderedComplex,
-    SuspensionComplex,
-)
+from .complexes import Collapse, Cone, ManifoldPair, SuspensionComplex
 from .errors import ComplexMismatch, EmptyBoundary
 
 
-class SuspensionContext(NamedTuple):
-    """A base complex sitting inside a suspension or upper cone."""
-
-    base: OrderedComplex
-    total: OrderedComplex
-    upper: int
-
-
-def suspension_context(sx: SuspensionComplex) -> SuspensionContext:
-    return SuspensionContext(sx.base, sx.complex, sx.upper)
-
-
-def cone_context(c: Cone) -> SuspensionContext:
-    return SuspensionContext(c.base, c.complex, c.apex)
-
-
-def suspend(ctx: SuspensionContext, c: Cochain) -> Cochain:
-    """s(c): supported on the simplices (sigma, upper vertex) only."""
-    if c.complex is not ctx.base:
+def suspend(sx: Union[SuspensionComplex, Cone], c: Cochain) -> Cochain:
+    """s(c) on the suspension or cone sx of c's complex: supported on the
+    simplices (sigma, upper vertex) only."""
+    if c.complex is not sx.base:
         raise ComplexMismatch("cochain does not live on the suspension base")
-    vals = {s + (ctx.upper,): v for s, v in c.values.items()}
-    return Cochain._of(ctx.total, c.degree + 1, c.ring, vals)
+    vals = {s + (sx.upper,): v for s, v in c.values.items()}
+    return Cochain._of(sx.complex, c.degree + 1, c.ring, vals)
 
 
-def desuspend(ctx: SuspensionContext, c: Cochain) -> Cochain:
+def desuspend(sx: Union[SuspensionComplex, Cone], c: Cochain) -> Cochain:
     """Inverse of suspend on its image (drop the upper vertex)."""
-    if c.complex is not ctx.total:
+    if c.complex is not sx.complex:
         raise ComplexMismatch("cochain does not live on the suspension")
     vals = {}
     for s, v in c.values.items():
-        if s[-1] != ctx.upper or len(s) == 1:
+        if s[-1] != sx.upper or len(s) == 1:
             raise ValueError("cochain is not in the image of the suspension")
         vals[s[:-1]] = v
-    return Cochain._of(ctx.base, c.degree - 1, c.ring, vals)
+    return Cochain._of(sx.base, c.degree - 1, c.ring, vals)
 
 
 def boundary_transfer(m: ManifoldPair, u: Cochain) -> Cochain:
@@ -75,4 +54,4 @@ def boundary_transfer(m: ManifoldPair, u: Cochain) -> Cochain:
 
 def collapse_transfer(col: Collapse, u: Cochain) -> Cochain:
     """t*(s u) computed literally through the collapse map."""
-    return pullback(col.map, suspend(cone_context(col.cone), u))
+    return pullback(col.map, suspend(col.cone, u))

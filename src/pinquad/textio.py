@@ -47,6 +47,13 @@ def _vertex(text: str) -> int:
     return v
 
 
+def _simplex(args: List[str]) -> Simplex:
+    """The vertices named on a simplex, boundary or orient line, at least one."""
+    if not args:
+        raise ValueError("no vertices")
+    return tuple(map(_vertex, args))
+
+
 class ComplexSpec:
     def __init__(self, dim: Optional[int] = None,
                  rank: Optional[Dict[int, int]] = None,
@@ -85,17 +92,17 @@ def parse_complex(text: str) -> ComplexSpec:
             elif key == "rank":
                 spec.rank[_vertex(args[0])] = integer(args[1])
             elif key == "simplex":
-                spec.maximal.append(tuple(map(_vertex, args)))
+                spec.maximal.append(_simplex(args))
             elif key == "boundary":
                 saw_boundary = True
                 if args == ["auto"]:
                     pass
                 else:
-                    explicit_boundary.append(tuple(map(_vertex, args)))
+                    explicit_boundary.append(_simplex(args))
                     named.append((lineno, raw, explicit_boundary[-1]))
             elif key == "orient":
                 sign = {"+1": 1, "1": 1, "-1": -1}[args[-1]]
-                simplex = tuple(map(_vertex, args[:-1]))
+                simplex = _simplex(args[:-1])
                 if spec.orientation is None:
                     spec.orientation = {}
                 spec.orientation[simplex] = sign
@@ -219,6 +226,8 @@ def parse_cochain(text: str, complex: OrderedComplex) -> Cochain:
                              "(vertices in rank order)", lineno)
         if len(simplex) != degree + 1:
             raise ParseError(f"{simplex} is not a {degree}-simplex", lineno)
+        if simplex in values:
+            raise ParseError(f"{simplex} is listed twice", lineno)
         values[simplex] = value
     if ring is None:
         raise ParseError("missing cochain header")

@@ -52,7 +52,7 @@ from pinquad.errors import (
 from pinquad.fixtures import CATALOG_NAMES, catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.identities import random_cochain, random_complex
 from pinquad.quadratic import random_relative_cochain
-from pinquad.suspension import desuspend, suspend, suspension_context
+from pinquad.suspension import desuspend, suspend
 
 
 def view_z4_qmodz(c):
@@ -719,13 +719,13 @@ class TestTrustedProducers:
     def test_maps_and_suspensions(self, rp2):
         rng = random.Random(7)
         sd = barycentric_subdivide(rp2.complex)
-        ctx = suspension_context(suspension(rp2.complex))
+        sx = suspension(rp2.complex)
         for ring in (INT, Z2, Z4, QMODZ):
             for k in range(3):
                 c = random_cochain(rng, rp2.complex, k, ring)
                 assert_valid(pullback(sd.to_base, c))
-                assert_valid(suspend(ctx, c))
-                assert_valid(desuspend(ctx, suspend(ctx, c)))
+                assert_valid(suspend(sx, c))
+                assert_valid(desuspend(sx, suspend(sx, c)))
 
     def test_push_along_an_injective_map(self, torus):
         from pinquad.quadratic import _push

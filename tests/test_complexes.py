@@ -113,7 +113,7 @@ class TestConeSuspension:
         x = build_complex(itertools.combinations(range(3), 2))
         sx = suspension(x)
         m = validate_manifold(sx.complex, 2)
-        assert m.closed and len(m.fundamental) == 6
+        assert m.closed and len(m.complex.simplices(m.n)) == 6
 
     def test_suspension_of_rp2_cohomology(self, rp2):
         # suspension isomorphism: H^{k+1}(SX) = reduced H^k(X)
@@ -132,7 +132,7 @@ class TestConeSuspension:
         c = cone(x)
         assert c.complex.dim == 2
         assert c.pair.in_sub((0, 1))
-        assert c.complex.rank[c.apex] > max(x.rank.values())
+        assert c.complex.rank[c.upper] > max(x.rank.values())
 
 
 class TestCylinder:
@@ -326,7 +326,9 @@ class TestCollapse:
         col = collapse_map(d1)
         interior = [v for v in d1.complex.vertices
                     if v not in d1.pair.sub_vertices]
-        assert all(col.map.vertex_map[v] == col.cone.apex for v in interior)
+        assert all(col.map.vertex_map[v] == col.cone.upper for v in interior)
+        # the cone is the one over the manifold's boundary complex
+        assert col.cone.base is d1.boundary_complex()
 
     def test_mobius_collapse_surjective(self, mobius):
         col = collapse_map(mobius)
@@ -338,7 +340,7 @@ class TestCollapse:
         interior = [v for v in annulus.complex.vertices
                     if v not in annulus.pair.sub_vertices]
         assert interior
-        assert {col.map.vertex_map[v] for v in interior} == {col.cone.apex}
+        assert {col.map.vertex_map[v] for v in interior} == {col.cone.upper}
 
     def test_refuses_a_boundary_that_is_not_full(self):
         # the raw Moebius band: every vertex is on the boundary circle, but

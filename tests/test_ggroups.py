@@ -16,6 +16,7 @@ from pinquad.cochains import (
     embed_z2_qmodz,
     from_bits,
     integrate,
+    solver,
     sq,
     zero_cochain,
 )
@@ -496,3 +497,15 @@ def test_low_degrees_read_an_empty_h_n_minus_2(name):
         fresh = ComplexPair(pair.ambient, pair.sub)
         assert g_pin(fresh, n).summands == summands
         assert qh_sh(fresh, n) == dims
+
+
+def test_degrees_far_above_the_dimension_answer_without_recursing():
+    # the image of d_k is 0 from the top degree on, so no chain of top bits
+    # is walked down from k = 10_000
+    pair = catalog("rp2").pair
+    fresh = ComplexPair(pair.ambient, pair.sub)
+    assert solver(fresh, 10_000).dim == 0
+    g = g_pin(fresh, 10_000)
+    gb = g_pin_bruteforce(ComplexPair(pair.ambient, pair.sub), 10_000)
+    assert (g.profile(), g.order) == ("0", 1)
+    assert gb.same_profile(g) and (gb.order, gb.dims) == (g.order, g.dims)

@@ -667,7 +667,7 @@ class TestVerify:
                 assert verify_axioms(q, 60, seed=6).ok
         for m in higher + surfaces:
             zeroed = [0] * len(m.pair.relative_simplices(m.n - 2))
-            monkeypatch.setattr(quad_context(m), "sq2_rows", zeroed)
+            monkeypatch.setitem(m.cache, "sq2_rows", zeroed)
         for m in higher:
             for q in enumerate_quadratics(m, PIN):
                 assert not verify_axioms(q, 60, seed=6).ok

@@ -41,7 +41,6 @@ from pinquad.quadratic import (
     transfer_subdivision,
     verify_axioms,
 )
-from pinquad.suspension import SuspensionContext, cone_context, suspension_context
 from pinquad.textio import ComplexSpec, parse_complex
 
 
@@ -59,7 +58,6 @@ MAKE = {
     QuadValue: lambda: eval_quadratic(_rp2_function(), solver(catalog("rp2").pair, 1).basis[0]),
     SubdivisionTransfer: lambda: transfer_subdivision(_rp2_function()),
     CylinderExtension: lambda: cylinder_extend(_rp2_function()),
-    SuspensionContext: lambda: suspension_context(suspension(catalog("sphere1").complex)),
     GGroupStructure: lambda: g_pin(catalog("rp2").pair, 2),
     SpinProfile: lambda: g_spin_profile(catalog("klein"), 2),
     GPair: lambda: g_identity(catalog("rp2").pair, 2),
@@ -91,17 +89,18 @@ def test_subdivision_repr_leaves_out_its_index_dicts():
     sd = barycentric_subdivide(catalog("sphere1").complex)
     text = repr(sd)
     assert text == f"Subdivision(complex={sd.complex!r}, to_base={sd.to_base!r})"
-    assert "vertex_of" not in text and "simplex_of" not in text
+    assert "vertex_of" not in text
 
 
 def test_cone_and_suspension_fields():
+    # suspend reads base, complex and upper off either record
     x = catalog("sphere1").complex
     c = cone(x)
-    assert c.complex is c.pair.ambient and c.base is x
-    ctx = cone_context(c)
-    assert (ctx.base, ctx.total, ctx.upper) == (x, c.complex, c.apex)
+    assert c.complex is c.pair.ambient
     s = suspension(x)
-    assert s.upper == s.lower + 1 and s.base is x
+    assert s.upper == s.lower + 1
+    for r in (c, s):
+        assert r.base is x and r.complex.rank[r.upper] > max(x.rank.values())
 
 
 def test_g_group_structure_defaults_to_no_generators():

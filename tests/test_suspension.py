@@ -15,7 +15,7 @@ from pinquad.cochains import (
     sq,
     zero_cochain,
 )
-from pinquad.complexes import build_complex, collapse_map, suspension
+from pinquad.complexes import build_complex, collapse_map, cone, suspension
 from pinquad.errors import ComplexMismatch, EmptyBoundary
 from pinquad.identities import (
     random_cochain,
@@ -25,54 +25,53 @@ from pinquad.identities import (
     suspension_cup0_suite,
 )
 from pinquad.quadratic import boundary_manifold
-from pinquad.suspension import (
-    boundary_transfer,
-    collapse_transfer,
-    cone_context,
-    desuspend,
-    suspend,
-    suspension_context,
-)
+from pinquad.suspension import boundary_transfer, collapse_transfer, desuspend, suspend
 
 
 class TestSuspend:
     def test_zero(self):
         x = build_complex([(0,), (1,)])
-        ctx = suspension_context(suspension(x))
-        assert suspend(ctx, zero_cochain(x, 0, Z2)).is_zero()
+        assert suspend(suspension(x), zero_cochain(x, 0, Z2)).is_zero()
 
     def test_two_points_indicator(self):
         x = build_complex([(0,), (1,)])
         sx = suspension(x)
-        ctx = suspension_context(sx)
         c = Cochain(x, 0, Z2, {(0,): 1})
-        sc = suspend(ctx, c)
+        sc = suspend(sx, c)
         assert sc.values == {(0, sx.upper): 1}
-        assert d(sc) == suspend(ctx, d(c))
-        assert desuspend(ctx, sc) == c
+        assert d(sc) == suspend(sx, d(c))
+        assert desuspend(sx, sc) == c
 
     def test_support_form(self, rp2):
         sx = suspension(rp2.complex)
-        ctx = suspension_context(sx)
         rng = random.Random(0)
         c = random_cochain(rng, rp2.complex, 1, INT)
-        for s in suspend(ctx, c).values:
+        for s in suspend(sx, c).values:
             assert s[-1] == sx.upper
 
     def test_injective(self, rp2):
         sx = suspension(rp2.complex)
-        ctx = suspension_context(sx)
         rng = random.Random(1)
         a = random_cochain(rng, rp2.complex, 1, INT)
         b = random_cochain(rng, rp2.complex, 1, INT)
         if a != b:
-            assert suspend(ctx, a) != suspend(ctx, b)
+            assert suspend(sx, a) != suspend(sx, b)
 
     def test_wrong_complex(self, rp2, torus):
         sx = suspension(rp2.complex)
-        ctx = suspension_context(sx)
         with pytest.raises(ComplexMismatch):
-            suspend(ctx, zero_cochain(torus.complex, 1, Z2))
+            suspend(sx, zero_cochain(torus.complex, 1, Z2))
+
+    def test_cone(self, rp2):
+        # the upper cone is read like the suspension: base, complex, upper
+        c = cone(rp2.complex)
+        x = random_cochain(random.Random(3), rp2.complex, 1, INT)
+        sc = suspend(c, x)
+        assert sc.complex is c.complex and all(s[-1] == c.upper for s in sc.values)
+        assert d(sc) == suspend(c, d(x))
+        assert desuspend(c, sc) == x
+        with pytest.raises(ComplexMismatch):
+            desuspend(c, suspend(suspension(rp2.complex), x))
 
 
 class TestIdentitySuites:
@@ -93,11 +92,10 @@ class TestIdentitySuites:
 
             x = random_complex(rng, 4)
             sx = suspension(x)
-            ctx = suspension_context(sx)
             k = rng.randint(0, min(3, x.dim))
             i = rng.randint(0, k + 1)
             c = random_cochain(rng, x, k, Z2)
-            assert suspend(ctx, sq(i, c)) == sq(i, suspend(ctx, c))
+            assert suspend(sx, sq(i, c)) == sq(i, suspend(sx, c))
 
 
 class TestBoundaryTransfer:
@@ -168,7 +166,7 @@ class TestBoundaryTransfer:
 class TestDesuspendImage:
     def test_the_upper_vertex_alone_is_not_in_the_image(self):
         x = build_complex([(0, 1)])
-        ctx = suspension_context(suspension(x))
-        c = Cochain(ctx.total, 0, Z2, {(ctx.upper,): 1})
+        sx = suspension(x)
+        c = Cochain(sx.complex, 0, Z2, {(sx.upper,): 1})
         with pytest.raises(ValueError, match="image of the suspension"):
-            desuspend(ctx, c)
+            desuspend(sx, c)

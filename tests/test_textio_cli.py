@@ -90,6 +90,11 @@ class TestComplexFormat:
         ("dim 1\nsimplex 0 1\nboundary 7\n", 3),
         ("boundary 0 5\nsimplex 0 1\n", 1),
         ("dim 1\nsimplex 0 1\norient 0 9 +1\n", 3),
+        # a line that names no vertex at all
+        ("simplex\n", 1),
+        ("dim 1\nsimplex 0 1\nboundary\n", 3),
+        ("simplex 0 1\nsimplex 1 2\nboundary\n", 3),
+        ("dim 1\nsimplex 0 1\norient +1\n", 3),
     ])
     def test_unknown_vertex_names_its_line(self, text, line):
         with pytest.raises(ParseError) as info:
@@ -146,6 +151,8 @@ class TestCochainFormat:
         ("cochain Z2 1\n0_0 1 -> 1\n", 2),
         ("cochain Int 1\n0 1 -> \u0663\n", 2),
         ("cochain Z2 1\n0 1 -> \uff11\n", 2),
+        # a simplex listed twice, even with another value
+        ("cochain Z2 1\n0 1 -> 1\n0 1 -> 0\n", 3),
     ])
     def test_malformed_input_names_its_line(self, rp2, text, line):
         with pytest.raises(ParseError) as info:
@@ -412,6 +419,11 @@ class TestCliMalformedInput:
     def test_complex_has_a_negative_vertex(self, tmp_path, capsys):
         path = tmp_path / "bad.complex"
         path.write_text("dim 2\nsimplex -1 0 1\nsimplex 0 1 2\n")
+        self.fails_cleanly(["info", "--complex", str(path)], capsys)
+
+    def test_complex_with_an_empty_simplex(self, tmp_path, capsys):
+        path = tmp_path / "bad.complex"
+        path.write_text("simplex\n")
         self.fails_cleanly(["info", "--complex", str(path)], capsys)
 
     @pytest.mark.parametrize("suites", ["nonexistent", ","])
@@ -692,3 +704,18 @@ def test_every_export_resolves():
     assert proc.returncode == 0, proc.stderr
     bound, exported = json.loads(proc.stdout)
     assert bound == exported
+
+
+def test_one_export_table():
+    # the package's _EXPORTS is the only export list, and each name in it is
+    # its submodule's own object
+    import importlib
+
+    import pinquad
+
+    assert pinquad.SpinProfile is pinquad.ggroups.SpinProfile
+    for module, names in pinquad._EXPORTS.items():
+        mod = importlib.import_module(f"pinquad.{module}")
+        assert not hasattr(mod, "__all__"), module
+        for name in names:
+            assert getattr(pinquad, name) is getattr(mod, name), name
