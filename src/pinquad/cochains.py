@@ -424,6 +424,39 @@ def cup_form(m: ManifoldPair, p: int, i: int,
     return form
 
 
+def cup_rows(pair: ComplexPair, k: int, i: int, bits: int) -> List[int]:
+    """Row j is e_j* u_i c as bits over the relative (2k-i)-simplices, for
+    e_j the j-th relative k-simplex and c the relative k-cochain with the
+    given bits: ``to_bits(pair, cup_i(dual_cochain(x, e_j), c, i))``.
+
+    Each term is the even face of a (2k-i)-simplex against its odd face in
+    supp(c), over the cut patterns of u_i, so one walk over the simplices
+    above supp(c) builds every row, as ``cup_form`` walks the top simplices.
+    There is no walk, and no cut pattern is built, when the complex has no
+    (2k-i)-simplex.
+    """
+    rows = [0] * len(pair.relative_simplices(k))
+    x, m = pair.ambient, 2 * k - i
+    if not bits or m not in x.simplices_by_dim:
+        return rows
+    patterns = _cut_patterns(k, k, i)
+    if not patterns:
+        return rows
+    support = above = from_bits(pair, k, bits).values
+    for deg in range(k, m):
+        up, upper = cofaces(x, deg), x.simplices(deg + 1)
+        above = {upper[t] for s in above for t in up[s][1:]}
+    idx, top = _index(pair, k), _index(pair, m)
+    for s in above:
+        bit = 1 << top[s]
+        for even, odd, _ in patterns:
+            if odd(s) in support:
+                j = idx.get(even(s))
+                if j is not None:
+                    rows[j] ^= bit
+    return rows
+
+
 def cup(u: Cochain, v: Cochain) -> Cochain:
     return cup_i(u, v, 0)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ._gf2 import Echelon, combine, eliminate, nullspace, rank
+from ._gf2 import Echelon, combine, eliminate, low_bit, nullspace, rank
 from .cochains import (
     Cochain,
     PIN,
@@ -33,6 +33,7 @@ from .cochains import (
     Z2,
     coboundary_bits,
     cup_i,
+    cup_rows,
     d,
     dual_cochain,
     embed_z2_qmodz,
@@ -309,9 +310,17 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     log2 of their number less rank d_{n-2}; rank phi is the number a of
     Z/4 summands, and dim QH is log2 of the order less dim SH.  Counts that
     fit no such dims raise InvariantViolation.
+
+    Everything runs on bits.  The p are walked in Gray-code order, so p and
+    its square each change by one XOR per step.  At the top degree (no
+    (n+1)-simplex) Sq^2 p = 0, so every p is solvable with w0 = 0 and no
+    Sq^2 p is taken; below it, each p is squared as a cochain.  The cup rows
+    e* u_{n-2} dc of a generator (Sq^2 c, dc), one per relative
+    (n-1)-simplex e, come from one walk over the n-simplices above supp(dc)
+    (``cochains.cup_rows``) and are put in normal form once, so a closure
+    step is one ``combine``.
     """
     x = pair.ambient
-    e_list = pair.relative_simplices(n - 1)
 
     # the kernel Z^{n-1} holds the p's and the echelon of d_{n-1} spans B^n;
     # wech also solves dw = Sq^2 p deterministically
@@ -324,20 +333,31 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     # an echelon of Z^n/B^n in normal form; sums of normal forms are normal
     quotient = eliminate([normal(z) for z in z_w])
 
-    # one solution w0 per solvable p, and the square of each such p, combined
-    # from the squares of the basis of Z^{n-1} with the bits that build p
+    # one solution w0 per solvable p, and the square of each such p, in
+    # Gray-code order: step a flips basis vector low_bit(a) of Z^{n-1}, and
+    # the normal form of the square is additive in p
     sq_basis = []
     for z in z_p:
         zc = from_bits(pair, n - 1, z)
         sq_basis.append(normal(to_bits(pair, cup_i(zc, zc, n - 2))))
+    top = n + 1 not in x.simplices_by_dim
     w0: Dict[int, int] = {}
     squares: List[int] = []
+    pb = square = 0
     for a in range(1 << len(z_p)):
-        pb = combine(z_p, a)
-        rem, w = wech.reduce(to_bits(pair, sq(2, from_bits(pair, n - 1, pb))))
-        if not rem:
-            w0[pb] = normal(w)
-            squares.append(combine(sq_basis, a))
+        if a:
+            j = low_bit(a)
+            pb ^= z_p[j]
+            square ^= sq_basis[j]
+        if top:
+            w = 0
+        else:
+            rem, w = wech.reduce(to_bits(pair, sq(2, from_bits(pair, n - 1, pb))))
+            if rem:
+                continue
+            w = normal(w)
+        w0[pb] = w
+        squares.append(square)
     solvable = len(w0).bit_length() - 1
     if 1 << solvable != len(w0):
         raise InvariantViolation(f"{len(w0)} solvable p do not form a subspace")
@@ -349,22 +369,21 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
             raise InvariantViolation("a relation image or product is missing "
                                      "from the enumerated quotient")
 
-    # the (Sq^2 c, dc) generators and their cup rows
+    # the (Sq^2 c, dc) generators and their cup rows e* u_{n-2} dc, one per
+    # relative (n-1)-simplex e, each in normal form: normal is linear, so
+    # the cross term p u_{n-2} dc of an image needs no normal of its own
     gens: List[Tuple[int, int, List[int]]] = []  # (w bits, p bits, cup rows)
-    def cup_rows(rp: Cochain) -> List[int]:
-        return [to_bits(pair, cup_i(dual_cochain(x, e), rp, n - 2)) for e in e_list]
-
     d_c = coboundary_bits(pair, n - 2)
     for t, rp in zip(pair.relative_simplices(n - 2), d_c):
         gens.append((normal(to_bits(pair, sq(2, dual_cochain(x, t)))), rp,
-                     cup_rows(from_bits(pair, n - 1, rp))))
+                     [normal(r) for r in cup_rows(pair, n - 1, n - 2, rp)]))
 
     relations = {(0, 0)}
     stack = [(0, 0)]
     while stack:
         wb, pb = stack.pop()
         for rw, rp, rows in gens:
-            image = (wb ^ rw ^ normal(combine(rows, pb)), pb ^ rp)
+            image = (wb ^ rw ^ combine(rows, pb), pb ^ rp)
             if image not in relations:
                 land(*image)
                 relations.add(image)

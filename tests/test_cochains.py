@@ -649,6 +649,54 @@ class TestCupReference:
         assert cup_i(u, u, 0).is_zero() and cup_i(u, u, 0).degree == 4
 
 
+# every catalog pair, the absolute pair of each one with a boundary, and the
+# raw strips
+CUP_ROW_PAIRS = CATALOG_NAMES + tuple(
+    name + "/absolute" for name in ("disk1", "disk2", "disk3", "mobius", "annulus", "solid_torus")
+) + ("raw_mobius", "raw_annulus")
+
+
+def _cup_row_pair(label):
+    if label == "raw_mobius":
+        return raw_mobius_pair()
+    if label == "raw_annulus":
+        return raw_annulus_pair()
+    name, _, absolute = label.partition("/")
+    m = catalog(name)
+    return m.absolute() if absolute else m.pair
+
+
+class TestCupRows:
+    @pytest.mark.parametrize("label", CUP_ROW_PAIRS)
+    def test_rows_are_cup_i_of_each_dual(self, label):
+        # row j is e_j* u_{n-2} c for the cup rows of each (Sq^2 t*, d t*)
+        # generator of the G^pin oracle, c = d t* for a relative
+        # (n-2)-simplex t, and e_j* u_i c for a few random relative
+        # (n-1)-cochains c and the i on either side of n - 2
+        pair = _cup_row_pair(label)
+        x = pair.ambient
+        rng = random.Random(label)
+        for n in range(2, x.dim + 1):
+            duals = [dual_cochain(x, e) for e in pair.relative_simplices(n - 1)]
+            drawn = [rng.getrandbits(len(duals)) for _ in range(3)]
+            cases = [(bits, n - 2) for bits in coboundary_bits(pair, n - 2)] + [
+                (bits, i) for bits in drawn for i in (n - 3, n - 2, n - 1)]
+            for bits, i in cases:
+                c = from_bits(pair, n - 1, bits)
+                want = [to_bits(pair, cup_i(e, c, i)) for e in duals]
+                assert cochains.cup_rows(pair, n - 1, i, bits) == want, (n, i, bits)
+
+    def test_no_cut_pattern_without_a_simplex_of_the_target_degree(self, rp2, monkeypatch):
+        # rp2 has no 3-simplex, so every row e* u_1 c of a 2-cochain c is
+        # zero, and no cut pattern of u_1 on 2-cochains is built
+        def refuse(*args):
+            raise AssertionError("a cut pattern was built")
+
+        monkeypatch.setattr(cochains, "_cut_patterns", refuse)
+        width = len(rp2.pair.relative_simplices(2))
+        assert cochains.cup_rows(rp2.pair, 2, 1, (1 << width) - 1) == [0] * width
+
+
 class TestSqByDegree:
     def test_zero_above_degree_plus_one(self, rp2, solid_torus):
         rng = random.Random(5)

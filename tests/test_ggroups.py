@@ -22,7 +22,7 @@ from pinquad.cochains import (
 )
 from pinquad.complexes import ComplexPair, absolute_pair, build_complex, validate_manifold
 from pinquad.cli import main
-from pinquad import _gf2, ggroups
+from pinquad import _gf2, cochains, ggroups
 from pinquad.errors import BudgetExceeded, InvariantViolation, NotACocycle, PairMismatch, check_budget
 from pinquad.fixtures import TORUS_TRIANGLES, catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.ggroups import (
@@ -187,6 +187,22 @@ class TestGPin:
         assert g.summands == (4,) * rphi + (2,) * (sh - rphi) + (2,) * (qh - rphi)
 
 
+RAW_PAIRS = {"raw_mobius": raw_mobius_pair, "raw_annulus": raw_annulus_pair}
+
+
+class _SquaredP(Exception):
+    pass
+
+
+def _refuse_degree(k):
+    """ggroups.sq, refusing every cochain of degree k."""
+    def refuse(i, c):
+        if c.degree == k:
+            raise _SquaredP(f"Sq^{i} of a degree-{k} cochain")
+        return sq(i, c)
+    return refuse
+
+
 class TestOracle:
     def test_rp2(self, rp2):
         gb = g_pin_bruteforce(rp2.pair, 2)
@@ -229,7 +245,7 @@ class TestOracle:
                 assert refused(log2, budget) == (1 << log2 > budget), (log2, budget)
 
     @pytest.mark.parametrize("name,n", [
-        ("torus", 1), ("torus", 2), ("klein", 1), ("klein", 2),
+        ("torus", 1), ("torus", 2), ("torus", 3), ("klein", 1), ("klein", 2),
         ("sphere3", 2), ("sphere3", 3), ("sphere3", 4), ("rp2", 3),
         ("disk3", 1), ("disk3", 2), ("disk3", 3), ("disk3", 4),
         ("sphere4", 1), ("sphere4", 2), ("sphere4", 3), ("sphere4", 4), ("sphere4", 5),
@@ -267,14 +283,50 @@ class TestOracle:
         assert time.perf_counter() - t0 < 1.0
 
     def test_lost_key_is_an_invariant_violation(self, monkeypatch):
-        # a cross term that is no cocycle sends relation images and squares
-        # out of the enumerated pairs (Z^2 is not all of C^2 on the 3-sphere)
+        # cup_i builds the squares p u_{n-2} p: one that is no cocycle sends
+        # them out of the enumerated pairs (Z^2 is not all of C^2 on the
+        # 3-sphere)
         sphere3 = catalog("sphere3")
         x = sphere3.complex
         garbage = dual_cochain(x, x.simplices(2)[0])
         monkeypatch.setattr(ggroups, "cup_i", lambda a, b, i: garbage)
         with pytest.raises(InvariantViolation, match="missing"):
             g_pin_bruteforce(sphere3.pair, 2)
+
+    def test_lost_cup_row_is_an_invariant_violation(self, monkeypatch):
+        # the cross terms of the relation images come from the cup rows, not
+        # from cup_i.  A row of the first 1-simplex that
+        # gains the first 2-simplex, no cocycle, sends an image of the
+        # closure out of the enumerated pairs, while the squares stay right
+        sphere3 = catalog("sphere3")
+
+        def corrupt(*args):
+            rows = cochains.cup_rows(*args)
+            return [rows[0] ^ 1] + rows[1:]
+
+        monkeypatch.setattr(ggroups, "cup_rows", corrupt)
+        with pytest.raises(InvariantViolation, match="missing"):
+            g_pin_bruteforce(ComplexPair(sphere3.pair.ambient, sphere3.pair.sub), 2)
+
+    @pytest.mark.parametrize("name,n", [
+        ("rp2", 2), ("sphere3", 3), ("torus", 3), ("raw_mobius", 2), ("raw_annulus", 2),
+    ])
+    def test_top_degree_takes_no_square_of_p(self, name, n, monkeypatch):
+        # with no (n+1)-simplex, Sq^2 p = 0 and w0 = 0 for every p in
+        # Z^{n-1}, so the walk over the p takes no Sq^2 of one
+        pair = RAW_PAIRS[name]() if name in RAW_PAIRS else catalog(name).pair
+        assert n + 1 not in pair.ambient.simplices_by_dim
+        g = g_pin(pair, n)
+        monkeypatch.setattr(ggroups, "sq", _refuse_degree(n - 1))
+        gb = g_pin_bruteforce(ComplexPair(pair.ambient, pair.sub), n)
+        assert (gb.summands, gb.order, gb.dims) == (g.summands, g.order, g.dims)
+
+    def test_below_the_top_degree_squares_each_p(self, monkeypatch):
+        # the 3-sphere has 3-simplices, so at n = 2 each Sq^2 p is taken
+        pair = catalog("sphere3").pair
+        monkeypatch.setattr(ggroups, "sq", _refuse_degree(1))
+        with pytest.raises(_SquaredP):
+            g_pin_bruteforce(ComplexPair(pair.ambient, pair.sub), 2)
 
     def test_solvable_p_off_a_subspace_is_an_invariant_violation(self, monkeypatch):
         # every p in Z^1 of the 3-sphere is solvable; a square that is no

@@ -7,11 +7,8 @@ from pinquad.cochains import (
     CohomologySolver,
     INT,
     Z2,
-    cup_i,
     d,
-    extend_by_zero,
     integrate,
-    pullback,
     sq,
     zero_cochain,
 )
@@ -19,7 +16,6 @@ from pinquad.complexes import build_complex, collapse_map, cone, suspension
 from pinquad.errors import ComplexMismatch, EmptyBoundary
 from pinquad.identities import (
     random_cochain,
-    run_suites,
     sd_equals_ds_suite,
     suspension_shifts_cup_suite,
     suspension_cup0_suite,
