@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._gf2 import combine, low_bit, nullspace_and_top_bits, representatives, top_bits
+from ._gf2 import Echelon, combine, low_bit, nullspace_and_top_bits, representatives, top_bits
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached, cofaces
 from .errors import (
     ComplexMismatch,
@@ -187,10 +187,21 @@ def embed_z2_qmodz(c: Cochain) -> Cochain:
 
 def d(c: Cochain) -> Cochain:
     """Simplicial coboundary (alternating signs; they vanish mod 2), pushed
-    from each simplex of the support onto its cofaces."""
+    from each simplex of the support onto its cofaces.  Over Z2 each coface
+    keeps a parity, filtered once; the other rings keep signed sums.  Both
+    list a coface at its first occurrence."""
     up = cofaces(c.complex, c.degree)
     above = c.complex.simplices(c.degree + 1)
     vals: Dict[Simplex, object] = {}
+    if c.ring == Z2:
+        # the parity of each coface, flipped in place: every value is 1
+        get = vals.get
+        for s in c.values:
+            for t in up[s][1:]:
+                tau = above[t]
+                vals[tau] = get(tau, 0) ^ 1
+        return Cochain._of(c.complex, c.degree + 1, Z2,
+                           {tau: 1 for tau, v in vals.items() if v})
     for s, v in c.values.items():
         entry = up[s]
         e = entry[0]
@@ -537,20 +548,31 @@ class CohomologySolver:
     so a lone solver builds the chain below it and consecutive degrees
     share it.  The kernel pass of d_k is that same pass, so the solver
     stores its top bits as ``_tops(pair, k)`` for the solver above.
+    A degree with no relative k-simplex (k < 0, k > dim, or every
+    k-simplex in the subcomplex) has no cohomology: its solver has the
+    empty basis and an empty echelon, and builds no operator.  Its
+    decompositions still run the checks below, which build d_k and
+    d_{k-1} on first use.
     """
 
     def __init__(self, pair: ComplexPair, degree: int) -> None:
         self.pair = pair
         self.degree = degree
         self.simplices: Tuple[Simplex, ...] = pair.relative_simplices(degree)
+        self._shift = len(pair.relative_simplices(degree - 1))
 
-        below = coboundary_bits(pair, degree - 1)
-        self._shift = len(below)
-        cocycles, tops = nullspace_and_top_bits(
-            coboundary_bits(pair, degree), _tops(pair, degree - 1))
-        cached(pair, ("tops", degree), lambda: tops)
-        self._ech, self._rep_bits = representatives(
-            below, cocycles, self._shift, _tops(pair, degree - 2))
+        if not self.simplices:
+            # an empty degree: no operator, no elimination, and d_k has no
+            # column, so im d_k has no top bit
+            cached(pair, ("tops", degree), frozenset)
+            self._ech, self._rep_bits = Echelon(), []
+        else:
+            below = coboundary_bits(pair, degree - 1)
+            cocycles, tops = nullspace_and_top_bits(
+                coboundary_bits(pair, degree), _tops(pair, degree - 1))
+            cached(pair, ("tops", degree), lambda: tops)
+            self._ech, self._rep_bits = representatives(
+                below, cocycles, self._shift, _tops(pair, degree - 2))
         self.basis: Tuple[Cochain, ...] = tuple(
             from_bits(pair, degree, r) for r in self._rep_bits)
 
@@ -612,9 +634,13 @@ def solver(pair: ComplexPair, k: int) -> CohomologySolver:
 
 
 def wu_v2_check(m: ManifoldPair) -> Optional[Cochain]:
-    """None when v2 vanishes, else a basis cocycle c with integral(Sq^2 c) = 1."""
+    """None when v2 vanishes, else a basis cocycle c with integral(Sq^2 c) = 1.
+
+    Below dimension 4, Sq^2 vanishes on H^{n-2}, so no solver is built."""
     k = m.n - 2
-    if k < 0:
+    if k < 2:
+        # Sq^2 is 0 on 0-cochains, and on a 1-cocycle c it is
+        # c u_{-1} c + c u_0 dc = 0
         return None
     for c in solver(m.pair, k).basis:
         if integrate(m, sq(2, c)) % 2:

@@ -102,12 +102,13 @@ class BudgetExceeded(PinquadError):
 SIZE_BUDGET = 1 << 20
 
 
-def check_budget(log2: int, what: str, budget: int = SIZE_BUDGET) -> None:
-    """Refuse an enumeration of 2^log2 elements larger than budget.  For a
-    budget >= 0, 2^log2 > budget exactly when log2 >= budget.bit_length(),
-    so no 2^log2 int is built."""
-    if log2 >= budget.bit_length():
-        raise BudgetExceeded(f"2^{log2} {what} exceed the budget {budget}")
+def check_budget(log2: int, what: str, budget: int = SIZE_BUDGET, times: int = 1) -> None:
+    """Refuse an enumeration of 2^log2 x times elements larger than budget.
+    For a budget >= 0 and log2 >= 0, 2^log2 x times > budget exactly when
+    times > budget >> log2, so no 2^log2 int is built."""
+    if times > budget >> log2:
+        count = f"2^{log2}" if times == 1 else f"2^{log2} x {times}"
+        raise BudgetExceeded(f"{count} {what} exceed the budget {budget}")
 
 
 # The most bytes a mod-2 operator may take stored densely, one bit per

@@ -7,7 +7,11 @@ Elements are pairs (w, p) of relative cochains with dp = 0 and dw = Sq^2 p
 
 modulo the subgroup {(df + Sq^2 c, dc)}.  The closed-form engine reads the
 abelian quotient off the short exact sequence ends QH^n and SH^{n-1} and
-the rank of phi: [p] -> [Sq^1 p].  The brute-force oracle finds the group
+the rank of phi: [p] -> [Sq^1 p].  It reads only the terms that can be
+nonzero: an empty degree has no cohomology and its solver no operator,
+Sq^2 vanishes on H^{n-2} below n = 4, and with no relative (n+1)-simplex
+Sq^2 p is the zero cochain, so SH^{n-1} is all of H^{n-1} and each
+certificate is (0, p).  The brute-force oracle finds the group
 without that sequence: it enumerates the pairs E with w stored modulo the
 central coboundaries (df, 0), in the normal form of the GF(2) layer,
 closes (0, 0) under the (Sq^2 c, dc) generators to the relation subgroup
@@ -16,7 +20,8 @@ p, 0) lies in N.  Its summands, order and dims all come from those counts:
 rank phi is the number of Z/4 summands, dim SH^{n-1} is log2 of the number
 of solvable p less rank d_{n-2}, and dim QH^n is the rest of log2 of the
 order.  It builds no cohomology solver and no sequence; the mod-2
-operators are all it shares with the closed form.
+operators are all it shares with the closed form.  Its size budget caps
+the pairs and the closure's relation images alike.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .cochains import (
 from .complexes import ComplexPair, ManifoldPair, SimplicialMap, cached
 from .errors import (
     SIZE_BUDGET,
+    BudgetExceeded,
     ComplexMismatch,
     InvariantViolation,
     NotACocycle,
@@ -149,18 +155,31 @@ def pin_to_spin(a: GPair) -> GPair:
 
 
 class _SequenceData:
+    """The terms of the exact sequence at degree n, read only where they can
+    be nonzero.
+
+    Sq^i x = 0 for i > deg x, and Sq^2 c = c u_{-1} c + c u_0 dc = 0 on a
+    1-cocycle, so for n < 4 the image of Sq^2 in H^n is 0: b_rows is empty
+    and no solver of degree n-2 is built.  With no relative (n+1)-simplex,
+    Sq^2 p is the zero cochain: every H^{n-1} class lies in SH and its
+    certificate is (0, p) (``top``), with no Sq^2 p taken here.  Empty
+    degrees cost nothing in the solvers themselves.
+    """
+
     def __init__(self, pair: ComplexPair, n: int) -> None:
         self.s_nm1 = solver(pair, n - 1)
         self.s_n = solver(pair, n)
         self.s_np1 = solver(pair, n + 1)
+        self.top = not self.s_np1.simplices
 
         # image of Sq^2 from H^{n-2} inside H^n
-        self.b_rows = [self.s_n._decompose_bits(sq(2, c))[0]
-                       for c in solver(pair, n - 2).basis]
+        self.b_rows = [] if n < 4 else [self.s_n._decompose_bits(sq(2, c))[0]
+                                        for c in solver(pair, n - 2).basis]
         self.b_rank = rank(self.b_rows)
 
         # Sq^2 out of H^{n-1}, kernel = SH
-        sq2_cols = [self.s_np1._decompose_bits(sq(2, p))[0] for p in self.s_nm1.basis]
+        sq2_cols = ([0] * self.s_nm1.dim if self.top else
+                    [self.s_np1._decompose_bits(sq(2, p))[0] for p in self.s_nm1.basis])
         self.sh_kernel: List[int] = nullspace(sq2_cols)
 
         # phi on classes: [p] -> [Sq^1 p]
@@ -239,6 +258,8 @@ def g_pin(pair: ComplexPair, n: int) -> GGroupStructure:
 
     def sh_cert(kv: int) -> GPair:
         p = from_bits(pair, n - 1, data.s_nm1._cocycle_bits(kv))
+        if data.top:  # Sq^2 p = 0 = d0
+            return GPair(pair, n, PIN, zero_cochain(pair.ambient, n, Z2), p)
         _, w = data.s_np1.decompose(sq(2, p))  # Sq^2 p = dw, class 0
         return GPair(pair, n, PIN, w, p)
 
@@ -297,7 +318,11 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     the central relations (df, 0) hold by construction.  The pairs E are
     w0 + Z^n/B^n for each p in Z^{n-1} with Sq^2 p = dw0: at most
     2^(dim Z^{n-1} + dim Z^n - rank d_{n-1}) elements, which size_budget caps
-    before any is built.  Modulo B^n, p u_{n-2} q + q u_{n-2} p =
+    before any is built.  The closure visits |N| x #gens images, one
+    generator per relative (n-2)-simplex.  N maps onto B^{n-1}, so
+    2^(rank d_{n-2}) x #gens images are refused before any pair is built,
+    and the closure stops once N alone shows more than size_budget images.
+    Modulo B^n, p u_{n-2} q + q u_{n-2} p =
     d(p u_{n-1} q) for cocycles, so E is abelian, the closure N of (0, 0)
     under the (Sq^2 c, dc) generators is the relation subgroup, and the
     group has |E| / |N| classes.  The square (p u_{n-2} p, 0) of (w, p)
@@ -328,6 +353,10 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     bech, z_p = eliminate(d_p), nullspace(d_p)
     wech, z_w = eliminate(d_w), nullspace(d_w)
     check_budget(len(z_p) + len(z_w) - bech.rank, "pairs", size_budget)
+    # the closure visits |N| x #gens images, and N maps onto B^{n-1}
+    d_c = coboundary_bits(pair, n - 2)
+    rank_dc = rank(d_c)
+    check_budget(rank_dc, "relation images", size_budget, len(d_c))
 
     normal = bech.normal
     # an echelon of Z^n/B^n in normal form; sums of normal forms are normal
@@ -373,14 +402,18 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     # relative (n-1)-simplex e, each in normal form: normal is linear, so
     # the cross term p u_{n-2} dc of an image needs no normal of its own
     gens: List[Tuple[int, int, List[int]]] = []  # (w bits, p bits, cup rows)
-    d_c = coboundary_bits(pair, n - 2)
     for t, rp in zip(pair.relative_simplices(n - 2), d_c):
         gens.append((normal(to_bits(pair, sq(2, dual_cochain(x, t)))), rp,
                      [normal(r) for r in cup_rows(pair, n - 1, n - 2, rp)]))
 
+    # each element of N is popped once and visits every generator
+    most = size_budget // max(len(gens), 1)
     relations = {(0, 0)}
     stack = [(0, 0)]
     while stack:
+        if len(relations) > most:
+            raise BudgetExceeded(f"over {most} x {len(gens)} relation images "
+                                 f"exceed the budget {size_budget}")
         wb, pb = stack.pop()
         for rw, rp, rows in gens:
             image = (wb ^ rw ^ combine(rows, pb), pb ^ rp)
@@ -405,7 +438,7 @@ def g_pin_bruteforce(pair: ComplexPair, n: int,
     if not ((1 << s) == size and (1 << t_log) == involutions and a >= 0 and b >= 0):
         raise InvariantViolation(f"{size} classes with {involutions} involutions "
                                  "is not (Z/4)^a + (Z/2)^b")
-    sh = solvable - rank(d_c)
+    sh = solvable - rank_dc
     qh = s - sh
     if a > sh or a > qh:
         raise InvariantViolation(f"(Z/4)^{a} does not fit dim SH = {sh} "

@@ -21,6 +21,7 @@ from pinquad.cochains import (
     from_bits,
     integrate,
     pullback,
+    solver,
     sq,
     steenrod_sign_exponent,
     to_bits,
@@ -84,6 +85,21 @@ class TestCoboundary:
         x = triangle()
         c = Cochain(x, 1, INT, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
         assert d(c).values == {(0, 1, 2): 1}
+
+    @pytest.mark.parametrize("name", ["rp2", "mobius", "solid_torus"])
+    def test_z2_parities_are_the_signed_sums_mod_2(self, name):
+        # the Z2 path keeps a parity per coface; its values and its key
+        # order are those of the signed sums reduced mod 2
+        x = catalog(name).complex
+        rng = random.Random(name)
+        for k in range(x.dim + 1):
+            for density in (0.05, 0.5, 1.0):
+                support = {s: 1 for s in x.simplices(k) if rng.random() < density}
+                signed = d(Cochain(x, k, INT, support)).values
+                got = d(Cochain(x, k, Z2, support))
+                assert got.ring == Z2 and got.degree == k + 1
+                assert list(got.values.items()) == [
+                    (tau, 1) for tau, v in signed.items() if v % 2]
 
 
 class TestCupProducts:
@@ -349,6 +365,26 @@ class TestSolver:
         b = CohomologySolver(rp2.pair, 1)
         assert [p.values for p in a.basis] == [p.values for p in b.basis]
 
+    @pytest.mark.parametrize("name,k", [
+        ("rp2", -1), ("rp2", 3), ("annulus", -1), ("solid_torus", 4),
+        # every vertex of the raw strips lies on the boundary
+        ("raw_mobius", 0), ("raw_annulus", 0),
+    ])
+    def test_an_empty_degree_builds_no_operator(self, name, k):
+        raw = {"raw_mobius": raw_mobius_pair, "raw_annulus": raw_annulus_pair}
+        pair = raw[name]() if name in raw else catalog(name).pair
+        fresh = ComplexPair(pair.ambient, pair.sub)
+        s = solver(fresh, k)
+        assert not fresh.relative_simplices(k)
+        assert (s.dim, s._rep_bits, s._ech.rank) == (0, [], 0)
+        assert s._shift == len(fresh.relative_simplices(k - 1))
+        assert not [key for key in fresh.cache if key[0] == "coboundary"]
+        # its decompositions still run every check, exactly
+        zero = zero_cochain(fresh.ambient, k, Z2)
+        coords, cert = s.decompose(zero)
+        assert coords == () and cert == zero_cochain(fresh.ambient, k - 1, Z2)
+        assert s.reconstruct(()) == zero
+
 
 class TestWu:
     def test_surfaces_ok(self, rp2, torus, klein, mobius, annulus):
@@ -369,6 +405,20 @@ class TestWu:
         # oracle: Sq^2 in the middle degree is the cup square
         assert integrate(cp2, cup_i(witness, witness, 0)) == 1
         assert integrate(cp2, sq(2, witness)) == 1
+
+    @pytest.mark.parametrize("name", ["rp2", "klein", "mobius", "solid_torus", "sphere3"])
+    def test_below_dimension_4_builds_no_solver(self, name):
+        # Sq^2 is 0 on H^0 and H^1, so v2 vanishes without a solver
+        m = catalog(name)
+        fresh = validate_manifold(m.complex, m.n)
+        assert wu_v2_check(fresh) is None
+        assert not [key for key in fresh.pair.cache if key[0] == "solver"]
+
+    def test_from_dimension_4_the_solver_is_read(self, cp2):
+        fresh = validate_manifold(cp2.complex, cp2.n)
+        witness = wu_v2_check(fresh)
+        assert witness is not None and ("solver", 2) in fresh.pair.cache
+        assert integrate(fresh, sq(2, witness)) == 1
 
 
 def _reference_coboundary(pair, k):

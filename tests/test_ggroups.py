@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from pinquad.complexes import ComplexPair, absolute_pair, build_complex, validat
 from pinquad.cli import main
 from pinquad import _gf2, cochains, ggroups
 from pinquad.errors import BudgetExceeded, InvariantViolation, NotACocycle, PairMismatch, check_budget
-from pinquad.fixtures import TORUS_TRIANGLES, catalog, raw_annulus_pair, raw_mobius_pair
+from pinquad.fixtures import CATALOG_NAMES, TORUS_TRIANGLES, catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.ggroups import (
     GPair,
     g_identity,
@@ -228,6 +229,36 @@ class TestOracle:
         with pytest.raises(BudgetExceeded, match=r"^2\^9 pairs exceed the budget 256$"):
             g_pin_bruteforce(torus.pair, 2, size_budget=1 << 8)
         assert g_pin_bruteforce(torus.pair, 2, size_budget=1 << 9).order == 8
+
+    def test_closure_budget(self, torus, monkeypatch):
+        # at n = 3 the torus has 2^14 pairs, N maps onto B^2 (rank d_1 = 13),
+        # and the closure visits |N| = 2^13 elements x 21 generators
+        pair = ComplexPair(torus.pair.ambient, torus.pair.sub)
+        with pytest.raises(BudgetExceeded,
+                           match=r"^2\^13 x 21 relation images exceed the budget 131072$"):
+            g_pin_bruteforce(pair, 3, size_budget=1 << 17)
+        assert g_pin_bruteforce(pair, 3, size_budget=1 << 18).order == 2
+        # with the lower bound undercounted, the closure starts and its
+        # running count stops it: 6242 elements x 21 generators > 2^17
+        monkeypatch.setattr(ggroups, "rank", lambda rows: _gf2.rank(rows) - 1)
+        with pytest.raises(BudgetExceeded,
+                           match=r"^over 6241 x 21 relation images exceed the budget 131072$"):
+            g_pin_bruteforce(pair, 3, size_budget=1 << 17)
+
+    def test_budget_decision_with_a_factor_builds_no_power(self):
+        def refused(log2, times, budget):
+            try:
+                check_budget(log2, "elements", budget, times)
+            except BudgetExceeded:
+                return True
+            return False
+
+        budgets = {0, 1} | {(1 << k) + e for k in range(1, 40) for e in (-1, 0, 1)}
+        for budget in budgets:
+            for log2 in range(42):
+                for times in (0, 1, 2, 3, 5, 7, 20, 27):
+                    assert refused(log2, times, budget) == ((1 << log2) * times > budget), \
+                        (log2, times, budget)
 
     def test_budget_decision_builds_no_power(self):
         # check_budget decides 2^log2 > budget by bit lengths; the decision is
@@ -520,6 +551,95 @@ def test_default_budget_refuses_the_solid_torus(solid_torus, capsys):
         g_pin_bruteforce(solid_torus.pair, 3)
     assert main(["ggroup", "--fixture", "solid_torus", "--engine", "bruteforce"]) == 2
     assert "BudgetExceeded" in capsys.readouterr().err
+
+
+def test_default_budget_refuses_the_klein_closure(capsys):
+    # 2^18 pairs fit the budget, but N maps onto B^2 (rank d_1 = 17) and
+    # each of its elements visits 27 generators
+    assert main(["ggroup", "--fixture", "klein", "-n", "3", "--engine", "bruteforce"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: BudgetExceeded: 2^17 x 27 relation images exceed the budget 1048576"]
+
+
+# the cases of the sweep below that the default budget refuses before
+# enumerating, as (name, absolute, n)
+REFUSED = {
+    ("klein", False, 3), ("mobius", False, 3), ("mobius", True, 2), ("mobius", True, 3),
+    ("annulus", False, 3), ("annulus", True, 2), ("annulus", True, 3),
+    ("solid_torus", False, 2), ("solid_torus", False, 3), ("solid_torus", False, 4),
+    ("solid_torus", True, 2), ("solid_torus", True, 3), ("solid_torus", True, 4),
+    ("cp2", False, 3), ("cp2", False, 4), ("cp2", False, 5),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_engines_agree_on_every_catalog_pair_or_the_oracle_refuses_up_front(name, monkeypatch):
+    # relative, and absolute where there is a boundary, for n = -1..dim+1 at
+    # the default budget; a refusal comes before any cup product is taken
+    m = catalog(name)
+    taken = []
+
+    def logged(f):
+        def call(*args):
+            taken.append(f.__name__)
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(ggroups, "cup_i", logged(cup_i))
+    monkeypatch.setattr(ggroups, "cup_rows", logged(cochains.cup_rows))
+    for absolute in (False, True) if not m.closed else (False,):
+        pair = m.absolute() if absolute else m.pair
+        for n in range(-1, m.n + 2):
+            g = g_pin(ComplexPair(pair.ambient, pair.sub), n)
+            taken.clear()
+            try:
+                gb = g_pin_bruteforce(ComplexPair(pair.ambient, pair.sub), n)
+            except BudgetExceeded as e:
+                assert (name, absolute, n) in REFUSED, (absolute, n, str(e))
+                assert re.match(r"^2\^\d+( x \d+)? (pairs|relation images) exceed "
+                                r"the budget 1048576$", str(e)), str(e)
+                assert not taken, (absolute, n)
+                continue
+            assert (name, absolute, n) not in REFUSED, (absolute, n)
+            assert (gb.summands, gb.order, gb.dims) == (g.summands, g.order, g.dims), (absolute, n)
+
+
+@pytest.mark.parametrize("name,n", [
+    ("rp2", 2), ("torus", 2), ("mobius", 2), ("sphere3", 3), ("solid_torus", 3),
+    ("raw_mobius", 2), ("raw_annulus", 2),
+])
+def test_g_pin_at_the_top_degree_reads_no_degree_above_it(name, n, monkeypatch):
+    # with no (n+1)-simplex, Sq^2 p = 0: no operator above n is built, and
+    # below n = 4 no solver of degree n-2 either; every certificate (0, p)
+    # is still built, and checked, as a GPair
+    pair = RAW_PAIRS[name]() if name in RAW_PAIRS else catalog(name).pair
+    assert n + 1 not in pair.ambient.simplices_by_dim
+    built = []
+
+    def checked(*args):
+        built.append(GPair(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ggroups, "GPair", checked)
+    fresh = ComplexPair(pair.ambient, pair.sub)
+    g = g_pin(fresh, n)
+    assert ("coboundary", n + 1) not in fresh.cache
+    assert ("solver", n - 2) not in fresh.cache
+    assert built == list(g.generators)
+
+
+def test_from_degree_4_sq2_of_h_n_minus_2_is_read():
+    # sphere4 at n = 4 still builds its degree-2 solver; on cp2, Sq^2 x = x^2
+    # kills the one class of H^4, so QH^4 = 0 and the group is trivial
+    sphere4 = catalog("sphere4").pair
+    fresh = ComplexPair(sphere4.ambient, sphere4.sub)
+    g_pin(fresh, 4)
+    assert ("solver", 2) in fresh.cache
+    cp2 = catalog("cp2").pair
+    fresh = ComplexPair(cp2.ambient, cp2.sub)
+    assert ggroups._sequence_data(fresh, 4).b_rank == 1
+    assert qh_sh(fresh, 4) == (0, 0, 0)
+    assert g_pin(fresh, 4).summands == ()
 
 
 # g_pin summands and qh_sh below degree 2, where H^{n-2} has no classes
