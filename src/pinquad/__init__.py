@@ -34,8 +34,8 @@ _EXPORTS = {
     ),
     "quadratic": (
         "QuadraticFunction", "QuadValue", "act",
-        "boundary_quadratic", "brown_gauss", "cylinder_extend",
-        "cylinder_restrict", "disjoint_sum", "enumerate_quadratics",
+        "boundary_quadratic", "brown_gauss", "brown_invariants",
+        "cylinder_extend", "cylinder_restrict", "disjoint_sum", "enumerate_quadratics",
         "eval_quadratic", "make_quadratic", "negate", "pushforward",
         "quadratic_from_prescribed", "restrict_codim0", "submanifold",
         "transfer_subdivision", "v1_witness", "verify_axioms",

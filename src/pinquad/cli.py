@@ -28,23 +28,10 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .cochains import SPIN, solver as cohomology_solver
+from .cochains import solver as cohomology_solver
 from .complexes import ComplexPair, ManifoldPair
-from .errors import (
-    SIZE_BUDGET,
-    NotClosedSurface,
-    ParseError,
-    PinquadError,
-    SpinOnNonorientable,
-    check_budget,
-)
-from .fixtures import (
-    CATALOG_NAMES,
-    catalog,
-    fixture_text,
-    raw_annulus_pair,
-    raw_mobius_pair,
-)
+from .errors import SIZE_BUDGET, ParseError, PinquadError
+from .fixtures import CATALOG_NAMES, RAW_PAIRS, catalog, fixture_text
 from .textio import (content_hash, format_cochain, format_complex, integer,
                      manifold_from_text, parse_cochain)
 
@@ -67,30 +54,25 @@ def _load_manifold(args) -> Tuple[ManifoldPair, str]:
 
 def _ggroup_pair(args) -> Tuple[ComplexPair, int, str, str]:
     """Group computations use the raw minimal pairs where they exist."""
-    if args.fixture == "mobius":
-        pair = raw_mobius_pair()
-        return pair, 2, "mobius(raw)", content_hash(format_complex(pair.ambient))
-    if args.fixture == "annulus":
-        pair = raw_annulus_pair()
-        return pair, 2, "annulus(raw)", content_hash(format_complex(pair.ambient))
+    raw = RAW_PAIRS.get(args.fixture)
+    if raw is not None:
+        pair = raw()
+        return (pair, pair.ambient.dim, f"{args.fixture}(raw)",
+                content_hash(format_complex(pair.ambient)))
     m, h = _load_manifold(args)
     return m.pair, m.n, args.fixture or args.complex or args.pair, h
 
 
-class _Out:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-
-    def emit(self, record: dict, text: str) -> None:
-        if self.fmt == "jsonl":
-            print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        else:
-            print(text)
+def _emit(fmt: str, record: dict, text: str) -> None:
+    """Print the record as one JSON line, or the text."""
+    if fmt == "jsonl":
+        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    else:
+        print(text)
 
 
 def _cmd_info(args) -> int:
     m, h = _load_manifold(args)
-    out = _Out(args.format)
     record = {
         "hash": h,
         "f_vector": list(m.complex.f_vector()),
@@ -107,13 +89,12 @@ def _cmd_info(args) -> int:
         f"{'orientable' if m.orientable else 'nonorientable'}  "
         f"chi {m.complex.euler()}  [hash {h}]"
     )
-    out.emit(record, text)
+    _emit(args.format, record, text)
     return 0
 
 
 def _cmd_cohomology(args) -> int:
     m, h = _load_manifold(args)
-    out = _Out(args.format)
     pair = m.pair if args.rel else m.absolute()
     solver = cohomology_solver(pair, args.k)
     record = {
@@ -124,7 +105,7 @@ def _cmd_cohomology(args) -> int:
         "basis": [format_cochain(p).strip().splitlines() for p in solver.basis],
     }
     text = f"dim H^{args.k}{'(M, dM)' if args.rel else '(M)'} = {solver.dim}"
-    out.emit(record, text)
+    _emit(args.format, record, text)
     if args.format == "text" and args.basis:
         for j, p in enumerate(solver.basis):
             print(f"# basis cocycle {j}")
@@ -140,41 +121,26 @@ def _cmd_quad(args) -> int:
     from .quadratic import (
         act,
         boundary_quadratic,
-        brown_gauss,
+        brown_invariants,
         enumerate_quadratics,
         eval_quadratic,
         make_quadratic,
         negate,
-        quad_context,
         verify_axioms,
     )
 
     m, h = _load_manifold(args)
-    out = _Out(args.format)
     mode = args.mode
     if args.sub == "enumerate":
         qs = enumerate_quadratics(m, mode)
         for q in qs:
-            out.emit(
-                {"hash": h, "mode": mode, "values": list(q.basis_values)},
-                f"Q values {q.basis_values}",
-            )
+            _emit(args.format, {"hash": h, "mode": mode, "values": list(q.basis_values)},
+                  f"Q values {q.basis_values}")
         return 0
     if args.sub == "brown":
-        # the refusals that compute nothing come first; then 2^h functions
-        # of 2^h Gauss sum terms each, refused as a product, not each alone
-        dim = quad_context(m).solver.dim
-        if mode == SPIN and not m.orientable:
-            raise SpinOnNonorientable("spin mode needs an oriented manifold")
-        if m.n != 2 or not m.closed:
-            raise NotClosedSurface("Gauss sums need a closed surface")
-        check_budget(2 * dim, "Gauss sum terms")
-        qs = enumerate_quadratics(m, mode)
-        betas = [brown_gauss(q) for q in qs]
-        out.emit(
-            {"hash": h, "mode": mode, "betas": betas},
-            f"brown invariants {betas}",
-        )
+        betas = brown_invariants(m, mode)
+        _emit(args.format, {"hash": h, "mode": mode, "betas": betas},
+              f"brown invariants {betas}")
         return 0
     if args.sub == "verify":
         qs = enumerate_quadratics(m, mode)
@@ -182,27 +148,22 @@ def _cmd_quad(args) -> int:
         for j, q in enumerate(qs):
             rep = verify_axioms(q, trials=args.trials, seed=args.seed + j)
             failures += len(rep.failures)
-        out.emit(
-            {"hash": h, "mode": mode, "functions": len(qs),
-             "trials": args.trials, "seed": args.seed, "failures": failures},
-            f"{len(qs)} functions x {args.trials} trials: {failures} failures",
-        )
+        _emit(args.format,
+              {"hash": h, "mode": mode, "functions": len(qs),
+               "trials": args.trials, "seed": args.seed, "failures": failures},
+              f"{len(qs)} functions x {args.trials} trials: {failures} failures")
         return 0 if failures == 0 else 2
     # the remaining subcommands start from explicit basis values
     q = make_quadratic(m, mode, _parse_values(args.values))
     if args.sub == "negate":
         nq = negate(q)
-        out.emit(
-            {"hash": h, "mode": mode, "values": list(nq.basis_values)},
-            f"-Q values {nq.basis_values}",
-        )
+        _emit(args.format, {"hash": h, "mode": mode, "values": list(nq.basis_values)},
+              f"-Q values {nq.basis_values}")
         return 0
     if args.sub == "boundary":
         bq = boundary_quadratic(q)
-        out.emit(
-            {"hash": h, "mode": mode, "boundary_values": list(bq.basis_values)},
-            f"dQ values {bq.basis_values}",
-        )
+        _emit(args.format, {"hash": h, "mode": mode, "boundary_values": list(bq.basis_values)},
+              f"dQ values {bq.basis_values}")
         return 0
     if not args.cochain:
         raise ParseError(f"quad {args.sub} needs --cochain")
@@ -210,17 +171,13 @@ def _cmd_quad(args) -> int:
         c = parse_cochain(f.read(), m.complex)
     if args.sub == "eval":
         val = eval_quadratic(q, c)
-        out.emit(
-            {"hash": h, "mode": mode, "value_z4": val.z4},
-            f"Q(p) = {val.z4} (Z/4)",
-        )
+        _emit(args.format, {"hash": h, "mode": mode, "value_z4": val.z4},
+              f"Q(p) = {val.z4} (Z/4)")
         return 0
     # argparse's choices leave act as the one subcommand still to run
     qa = act(q, c)
-    out.emit(
-        {"hash": h, "mode": mode, "values": list(qa.basis_values)},
-        f"Q_a values {qa.basis_values}",
-    )
+    _emit(args.format, {"hash": h, "mode": mode, "values": list(qa.basis_values)},
+          f"Q_a values {qa.basis_values}")
     return 0
 
 
@@ -230,7 +187,6 @@ def _cmd_ggroup(args) -> int:
     pair, n, label, h = _ggroup_pair(args)
     if args.n is not None:
         n = args.n
-    out = _Out(args.format)
     if args.engine == "bruteforce":
         g = g_pin_bruteforce(pair, n, size_budget=1 << args.budget_log2)
     else:
@@ -244,15 +200,14 @@ def _cmd_ggroup(args) -> int:
         "profile": g.profile(),
         "order": g.order,
     }
-    out.emit(record, f"G_{n}^pin({label}) = {g.profile()}  (order {g.order})  "
-                     f"[hash {h}]")
+    _emit(args.format, record,
+          f"G_{n}^pin({label}) = {g.profile()}  (order {g.order})  [hash {h}]")
     return 0
 
 
 def _cmd_identities(args) -> int:
     from . import identities
 
-    out = _Out(args.format)
     names = args.suites.split(",") if args.suites else None
     reports = identities.run_suites(
         trials=args.trials, seed=args.seed, names=names,
@@ -261,11 +216,9 @@ def _cmd_identities(args) -> int:
     total = 0
     for r in reports:
         total += len(r.failures)
-        out.emit(
-            {"failures": len(r.failures), "seed": args.seed,
-             "suite": r.name, "trials": r.trials},
-            f"{r.name:18s} {r.trials} trials  {len(r.failures)} failures",
-        )
+        _emit(args.format, {"failures": len(r.failures), "seed": args.seed,
+              "suite": r.name, "trials": r.trials},
+              f"{r.name:18s} {r.trials} trials  {len(r.failures)} failures")
     return 0 if total == 0 else 2
 
 

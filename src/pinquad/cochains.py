@@ -29,7 +29,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._gf2 import Echelon, combine, low_bit, nullspace_and_top_bits, representatives, top_bits
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached, cofaces
@@ -633,16 +633,22 @@ def solver(pair: ComplexPair, k: int) -> CohomologySolver:
     return cached(pair, ("solver", k), lambda: CohomologySolver(pair, k))
 
 
-def wu_v2_check(m: ManifoldPair) -> Optional[Cochain]:
-    """None when v2 vanishes, else a basis cocycle c with integral(Sq^2 c) = 1.
+def sq2_of_basis(pair: ComplexPair, k: int) -> Iterator[Tuple[Cochain, Cochain]]:
+    """(c, Sq^2 c) for each basis cocycle c of H^k(pair), in basis order.
 
-    Below dimension 4, Sq^2 vanishes on H^{n-2}, so no solver is built."""
-    k = m.n - 2
+    Below degree 2 Sq^2 vanishes on cocycles, so there are none and no
+    solver is built: Sq^2 is 0 on 0-cochains, and on a 1-cocycle c it is
+    c u_{-1} c + c u_0 dc = 0."""
     if k < 2:
-        # Sq^2 is 0 on 0-cochains, and on a 1-cocycle c it is
-        # c u_{-1} c + c u_0 dc = 0
-        return None
-    for c in solver(m.pair, k).basis:
-        if integrate(m, sq(2, c)) % 2:
+        return
+    for c in solver(pair, k).basis:
+        yield c, sq(2, c)
+
+
+def wu_v2_check(m: ManifoldPair) -> Optional[Cochain]:
+    """None when v2 vanishes, else a basis cocycle c of H^{n-2} with
+    integral(Sq^2 c) = 1.  Below dimension 4 no solver is built."""
+    for c, sq2 in sq2_of_basis(m.pair, m.n - 2):
+        if integrate(m, sq2) % 2:
             return c
     return None

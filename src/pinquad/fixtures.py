@@ -5,7 +5,9 @@ barycentric subdivision of a minimal complex so that the boundary is a
 full subcomplex and boundary vertices precede interior vertices (the
 conditions every quadratic-function operation relies on).  The raw
 unsubdivided pairs are kept available for group computations, where those
-conditions are irrelevant and enumeration sizes matter.
+conditions are irrelevant and enumeration sizes matter: ``RAW_PAIRS`` maps
+a fixture name to the builder of its raw pair, which ``pinquad ggroup
+--fixture`` computes on in place of the catalog entry.
 
     name         f-vector              notes
     sphere(n)    binomials of n+2      boundary of a simplex, oriented
@@ -24,7 +26,7 @@ cp2 is the one catalog entry admitting no quadratic functions.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from .complexes import (
     ComplexPair,
@@ -106,6 +108,11 @@ def raw_annulus_pair() -> ComplexPair:
     cyl = cylinder(circle_complex())
     m = validate_manifold(cyl.complex, 2, require_full=False, require_ordering=False)
     return m.pair
+
+
+# fixture name -> builder of the raw pair that group computations use instead
+RAW_PAIRS: Dict[str, Callable[[], ComplexPair]] = {
+    "mobius": raw_mobius_pair, "annulus": raw_annulus_pair}
 
 
 def _build(name: str) -> ManifoldPair:

@@ -47,6 +47,7 @@ from .cochains import (
     pullback,
     solver,
     sq,
+    sq2_of_basis,
     to_bits,
     zero_cochain,
 )
@@ -64,6 +65,30 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .quadratic import QuadraticFunction
+
+
+class _Mode(NamedTuple):
+    """What sets spin pairs apart from pin pairs."""
+
+    ring: str  # the ring of w
+    embed: Callable[[Cochain], Cochain]  # Z/2 terms into that ring
+    dw: str  # how dw = Sq^2 p reads
+    integral: Callable[[ManifoldPair, Cochain], Fraction]  # int w in R/Z
+
+
+_MODES = {
+    PIN: _Mode(Z2, lambda c: c, "Sq^2 p", lambda m, w: Fraction(integrate(m, w) % 2, 2)),
+    SPIN: _Mode(QMODZ, embed_z2_qmodz, "(1/2) Sq^2 p", integrate),
+}
+
+
+def _mode(mode: str) -> _Mode:
+    """The entry of mode; an unknown mode, hashable or not, is a ValueError."""
+    try:
+        return _MODES[mode]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown mode {mode!r}") from None
+
 
 class _GPairFields(NamedTuple):
     pair: ComplexPair
@@ -90,18 +115,11 @@ class GPair(_GPairFields):
         if not d(p).is_zero():
             raise NotACocycle("dp != 0")
         sq2 = sq(2, p)
-        if mode == PIN:
-            if w.ring != Z2 or w.degree != n:
-                raise ValueError("pin w must be a Z2 cochain of degree n")
-            if d(w) != sq2:
-                raise NotACocycle("dw != Sq^2 p")
-        elif mode == SPIN:
-            if w.ring != QMODZ or w.degree != n:
-                raise ValueError("spin w must be a QmodZ cochain of degree n")
-            if d(w) != embed_z2_qmodz(sq2):
-                raise NotACocycle("dw != (1/2) Sq^2 p")
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        spec = _mode(mode)
+        if w.ring != spec.ring or w.degree != n:
+            raise ValueError(f"{mode} w must be a {spec.ring} cochain of degree n")
+        if d(w) != spec.embed(sq2):
+            raise NotACocycle(f"dw != {spec.dw}")
         return super().__new__(cls, pair, n, mode, w, p)
 
     def _match(self, other: "GPair") -> None:
@@ -116,23 +134,19 @@ def g_pair(pair: ComplexPair, n: int, w: Cochain, p: Cochain,
 
 
 def g_identity(pair: ComplexPair, n: int, mode: str = PIN) -> GPair:
-    ring = Z2 if mode == PIN else QMODZ
     x = pair.ambient
-    return GPair(pair, n, mode, zero_cochain(x, n, ring), zero_cochain(x, n - 1, Z2))
+    return GPair(pair, n, mode, zero_cochain(x, n, _mode(mode).ring),
+                 zero_cochain(x, n - 1, Z2))
 
 
 def g_product(a: GPair, b: GPair) -> GPair:
     a._match(b)
-    cross = cup_i(a.p, b.p, a.n - 2)
-    if a.mode == SPIN:
-        cross = embed_z2_qmodz(cross)
+    cross = _mode(a.mode).embed(cup_i(a.p, b.p, a.n - 2))
     return GPair(a.pair, a.n, a.mode, a.w + b.w + cross, a.p + b.p)
 
 
 def g_inverse(a: GPair) -> GPair:
-    corr = sq(1, a.p)
-    if a.mode == SPIN:
-        corr = embed_z2_qmodz(corr)
+    corr = _mode(a.mode).embed(sq(1, a.p))
     return GPair(a.pair, a.n, a.mode, -a.w + corr, a.p)
 
 
@@ -158,12 +172,11 @@ class _SequenceData:
     """The terms of the exact sequence at degree n, read only where they can
     be nonzero.
 
-    Sq^i x = 0 for i > deg x, and Sq^2 c = c u_{-1} c + c u_0 dc = 0 on a
-    1-cocycle, so for n < 4 the image of Sq^2 in H^n is 0: b_rows is empty
-    and no solver of degree n-2 is built.  With no relative (n+1)-simplex,
-    Sq^2 p is the zero cochain: every H^{n-1} class lies in SH and its
-    certificate is (0, p) (``top``), with no Sq^2 p taken here.  Empty
-    degrees cost nothing in the solvers themselves.
+    For n < 4, ``cochains.sq2_of_basis`` gives no Sq^2 of H^{n-2}: b_rows
+    is empty and no solver of degree n-2 is built.  With no relative
+    (n+1)-simplex, Sq^2 p is the zero cochain: every H^{n-1} class lies in
+    SH and its certificate is (0, p) (``top``), with no Sq^2 p taken here.
+    Empty degrees cost nothing in the solvers themselves.
     """
 
     def __init__(self, pair: ComplexPair, n: int) -> None:
@@ -173,8 +186,8 @@ class _SequenceData:
         self.top = not self.s_np1.simplices
 
         # image of Sq^2 from H^{n-2} inside H^n
-        self.b_rows = [] if n < 4 else [self.s_n._decompose_bits(sq(2, c))[0]
-                                        for c in solver(pair, n - 2).basis]
+        self.b_rows = [self.s_n._decompose_bits(sq2)[0]
+                       for _, sq2 in sq2_of_basis(pair, n - 2)]
         self.b_rank = rank(self.b_rows)
 
         # Sq^2 out of H^{n-1}, kernel = SH
@@ -463,29 +476,27 @@ def quad_to_linear(q: QuadraticFunction) -> Callable[[GPair], Fraction]:
     def functional(a: GPair) -> Fraction:
         if a.pair.ambient is not m.complex:
             raise PairMismatch("pair lives on a different complex")
-        qp = eval_quadratic(q, a.p).rmodz
-        if a.mode == PIN:
-            iw = Fraction(integrate(m, a.w) % 2, 2)
-        else:
-            iw = integrate(m, a.w)
-        return (qp + iw) % 1
+        return (eval_quadratic(q, a.p).rmodz + _mode(a.mode).integral(m, a.w)) % 1
 
     return functional
 
 
 def linear_to_quad(m: ManifoldPair, mode: str,
                    functional: Callable[[GPair], Fraction]) -> QuadraticFunction:
-    """Inverse bridge: read Q off the functional via Q(p_j) = L(0, p_j)."""
+    """Inverse bridge: read Q off the functional via Q(p_j) = L(0, p_j).
+
+    A value off (1/4)Z/Z is refused; in spin mode an odd quarter is a
+    ``ConstraintViolation`` of ``make_quadratic``."""
     from .quadratic import make_quadratic, quad_context
 
     ctx = quad_context(m)
-    pair = m.pair
-    ring = Z2 if mode == PIN else QMODZ
+    zero = zero_cochain(m.complex, m.n, _mode(mode).ring)
     values = []
-    for p in ctx.solver.basis:
-        a = GPair(pair, m.n, mode, zero_cochain(m.complex, m.n, ring), p)
-        val = functional(a)
-        values.append(int((val % 1) * 4) if mode == PIN else int((val % 1) * 2) * 2)
+    for j, p in enumerate(ctx.solver.basis):
+        quarters = Fraction(functional(GPair(m.pair, m.n, mode, zero, p))) % 1 * 4
+        if quarters.denominator != 1:
+            raise ValueError(f"L(0, p_{j}) = {quarters / 4} is not a multiple of 1/4")
+        values.append(int(quarters))
     return make_quadratic(m, mode, values)
 
 

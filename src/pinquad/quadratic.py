@@ -179,9 +179,8 @@ class QuadraticFunction:
         self.basis_values = tuple(v % 4 for v in basis_values)
         if len(self.basis_values) != ctx.solver.dim:
             raise ValueError("one value per basis cocycle required")
+        _check_spin(self.manifold, mode)
         if mode == SPIN:
-            if not self.manifold.orientable:
-                raise SpinOnNonorientable("spin mode needs an oriented manifold")
             for j, v in enumerate(self.basis_values):
                 if v % 2:
                     raise ConstraintViolation(j)
@@ -215,6 +214,16 @@ class QuadraticFunction:
         return eval_quadratic(self, p)
 
 
+def _check_spin(m: ManifoldPair, mode: str) -> None:
+    if mode == SPIN and not m.orientable:
+        raise SpinOnNonorientable("spin mode needs an oriented manifold")
+
+
+def _check_closed_surface(m: ManifoldPair) -> None:
+    if m.n != 2 or not m.closed:
+        raise NotClosedSurface("Gauss sums need a closed surface")
+
+
 def make_quadratic(
     m: ManifoldPair, mode: str, basis_values: Sequence[int]
 ) -> QuadraticFunction:
@@ -227,8 +236,7 @@ def enumerate_quadratics(m: ManifoldPair, mode: str = PIN) -> List[QuadraticFunc
     choice bits added on top of the forced parities."""
     ctx = quad_context(m)
     h = ctx.solver.dim
-    if mode == SPIN and not m.orientable:
-        raise SpinOnNonorientable("spin mode needs an oriented manifold")
+    _check_spin(m, mode)
     check_budget(h, "quadratic functions")
     out = []
     for bits in range(1 << h):
@@ -502,9 +510,7 @@ def brown_gauss(q: QuadraticFunction):
     beta / 8} for pin mode, and the Arf bit for spin mode.  The magnitude
     check is exact over the Gaussian integers.
     """
-    m = q.manifold
-    if m.n != 2 or not m.closed:
-        raise NotClosedSurface("Gauss sums need a closed surface")
+    _check_closed_surface(q.manifold)
     h = q.solver.dim
     check_budget(h, "Gauss sum terms")
     re, im = 0, 0
@@ -524,6 +530,22 @@ def brown_gauss(q: QuadraticFunction):
     if q.mode == SPIN:
         return 0 if re > 0 else 1
     return beta
+
+
+def brown_invariants(m: ManifoldPair, mode: str = PIN) -> List[int]:
+    """``brown_gauss`` of every quadratic function on m, in the order of
+    ``enumerate_quadratics``.
+
+    The refusals that compute nothing come first: the Wu obstruction, spin
+    mode on a nonorientable manifold, a manifold that is not a closed
+    surface.  Then 2^h functions of 2^h Gauss sum terms each are refused as
+    a product, not each alone.
+    """
+    h = quad_context(m).solver.dim
+    _check_spin(m, mode)
+    _check_closed_surface(m)
+    check_budget(2 * h, "Gauss sum terms")
+    return [brown_gauss(q) for q in enumerate_quadratics(m, mode)]
 
 
 def _eighth_root_exponent(re: int, im: int, h: int) -> int:

@@ -4,7 +4,11 @@ Complex files:  `dim <n>`, optional `rank <v> <r>` lines, `simplex <v0> ...`
 for maximal simplices, `boundary auto` or explicit `boundary <v0> ...`
 lines, optional `orient <v0> ... <+1|-1>` lines, `#` comments.  Vertices
 are nonnegative integers and all parsing is bit-exact: every integer, in
-both formats, is an optional sign and ASCII digits (``integer``).
+both formats, is an optional sign and ASCII digits (``integer``).  A file
+is refused, with the line named, when a line is malformed or a dim or rank
+line has extra fields, when dim is declared twice, a vertex is ranked
+twice or a simplex oriented twice (in any vertex order), and when a rank,
+boundary or orient line names a vertex that lies in no simplex.
 
 Cochain files: a `cochain <ring> <degree>` header followed by lines
 `<v0> <v1> ... -> <value>`; Z2 values are 0/1, Z4 values 0..3, QmodZ
@@ -75,11 +79,20 @@ class ComplexSpec:
                 f"orientation={self.orientation!r})")
 
 
+def _fields(args: List[str], count: int) -> List[str]:
+    """The fields of a dim or rank line, exactly count of them."""
+    if len(args) != count:
+        raise ValueError(f"expected {count} field{'s' * (count > 1)}, got {len(args)}")
+    return args
+
+
 def parse_complex(text: str) -> ComplexSpec:
+    """The spec of a complex file, or a ParseError naming the first line
+    the module docstring refuses."""
     spec = ComplexSpec()
     explicit_boundary: List[Simplex] = []
-    saw_boundary = False
-    named: List[tuple] = []  # (lineno, raw, simplex) of boundary/orient lines
+    named: List[tuple] = []  # (lineno, raw, vertices) of rank/boundary/orient lines
+    oriented: Dict[Simplex, int] = {}  # sorted simplex -> its orient line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,21 +101,30 @@ def parse_complex(text: str) -> ComplexSpec:
         key, args = parts[0], parts[1:]
         try:
             if key == "dim":
-                spec.dim = integer(args[0])
+                if spec.dim is not None:
+                    raise ParseError("second dim line", lineno)
+                (dim,) = _fields(args, 1)
+                spec.dim = integer(dim)
             elif key == "rank":
-                spec.rank[_vertex(args[0])] = integer(args[1])
+                vertex, r = _fields(args, 2)
+                v = _vertex(vertex)
+                if v in spec.rank:
+                    raise ParseError(f"vertex {v} is ranked twice", lineno)
+                spec.rank[v] = integer(r)
+                named.append((lineno, raw, (v,)))
             elif key == "simplex":
                 spec.maximal.append(_simplex(args))
             elif key == "boundary":
-                saw_boundary = True
-                if args == ["auto"]:
-                    pass
-                else:
+                if args != ["auto"]:
                     explicit_boundary.append(_simplex(args))
                     named.append((lineno, raw, explicit_boundary[-1]))
             elif key == "orient":
                 sign = {"+1": 1, "1": 1, "-1": -1}[args[-1]]
                 simplex = _simplex(args[:-1])
+                first = oriented.setdefault(tuple(sorted(simplex)), lineno)
+                if first != lineno:
+                    raise ParseError(f"{simplex} is oriented twice, first on line {first}",
+                                     lineno)
                 if spec.orientation is None:
                     spec.orientation = {}
                 spec.orientation[simplex] = sign
@@ -121,7 +143,7 @@ def parse_complex(text: str) -> ComplexSpec:
         if missing:
             raise ParseError(
                 f"{raw.strip()!r} names vertex {missing[0]}, which is in no simplex", lineno)
-    if saw_boundary and explicit_boundary:
+    if explicit_boundary:
         spec.boundary = explicit_boundary
     return spec
 

@@ -25,6 +25,7 @@ from pinquad.complexes import ComplexPair, absolute_pair, build_complex, validat
 from pinquad.cli import main
 from pinquad import _gf2, cochains, ggroups
 from pinquad.errors import BudgetExceeded, InvariantViolation, NotACocycle, PairMismatch, check_budget
+from pinquad.errors import ConstraintViolation
 from pinquad.fixtures import CATALOG_NAMES, TORUS_TRIANGLES, catalog, raw_annulus_pair, raw_mobius_pair
 from pinquad.ggroups import (
     GPair,
@@ -492,6 +493,30 @@ class TestBridge:
                   zero_cochain(torus.complex, 2, QMODZ), p)
         assert L(a) == Fraction(q.basis_values[0], 4)
         assert linear_to_quad(torus, SPIN, L) == q
+
+    def test_values_are_read_on_the_quarter_lattice(self, rp2, torus):
+        # values are read modulo 1, so 5/4 and -3/4 are the quarter 1/4
+        for value in (Fraction(5, 4), Fraction(-3, 4)):
+            assert linear_to_quad(rp2, PIN, lambda a: value).basis_values == (1,)
+        # a value off (1/4)Z/Z was once floored: pin 1/3 on rp2 read as 1
+        for m, mode in ((rp2, PIN), (torus, SPIN)):
+            with pytest.raises(ValueError, match="1/3 is not a multiple of 1/4"):
+                linear_to_quad(m, mode, lambda a: Fraction(1, 3))
+        # an odd quarter in spin mode was once read as 0
+        with pytest.raises(ConstraintViolation):
+            linear_to_quad(torus, SPIN, lambda a: Fraction(1, 4))
+
+    @pytest.mark.parametrize("mode", ["other", ["pin"]], ids=["unknown", "unhashable"])
+    def test_an_unknown_mode_is_a_value_error(self, rp2, mode):
+        x = rp2.complex
+        builds = (
+            lambda: g_identity(rp2.pair, 2, mode),
+            lambda: GPair(rp2.pair, 2, mode, zero_cochain(x, 2, Z2), zero_cochain(x, 1, Z2)),
+            lambda: linear_to_quad(rp2, mode, lambda a: Fraction(1, 4)),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match=re.escape(f"unknown mode {mode!r}")):
+                build()
 
 
 class TestSpinProfile:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pinquad import _gf2
+from pinquad import quadratic
 from pinquad.cochains import (
     Cochain,
     CohomologySolver,
@@ -47,6 +48,7 @@ from pinquad.quadratic import (
     boundary_manifold,
     boundary_quadratic,
     brown_gauss,
+    brown_invariants,
     cylinder_extend,
     cylinder_restrict,
     disjoint_sum,
@@ -611,6 +613,48 @@ class TestBrownGauss:
             q2 = rng.choice(enumerate_quadratics(m2, PIN))
             _, qz = disjoint_sum(q1, q2)
             assert brown_gauss(qz) == (brown_gauss(q1) + brown_gauss(q2)) % 8
+
+
+class TestBrownInvariants:
+    """The Gauss sum of every function, with the refusals that compute
+    nothing first and the product budget last, as ``quad brown`` prints."""
+
+    CLOSED_SURFACES = ("sphere2", "rp2", "torus", "klein")
+
+    def test_the_closed_surfaces_of_the_catalog(self):
+        closed = [name for name in CATALOG_NAMES
+                  if catalog(name).n == 2 and catalog(name).closed]
+        assert tuple(closed) == self.CLOSED_SURFACES
+
+    @pytest.mark.parametrize("mode", (PIN, SPIN))
+    @pytest.mark.parametrize("name", CLOSED_SURFACES)
+    def test_gauss_sum_of_each_function(self, name, mode):
+        m = catalog(name)
+        if mode == SPIN and not m.orientable:
+            with pytest.raises(SpinOnNonorientable):
+                brown_invariants(m, mode)
+            return
+        expected = [brown_gauss(q) for q in enumerate_quadratics(m, mode)]
+        assert brown_invariants(m, mode) == expected
+
+    @pytest.mark.parametrize("name, copies, mode, error, message", [
+        ("cp2", 1, PIN, WuObstruction, "Sq^2 obstruction is nonzero"),
+        ("klein", 6, SPIN, SpinOnNonorientable, "spin mode needs an oriented manifold"),
+        ("annulus", 12, PIN, NotClosedSurface, "Gauss sums need a closed surface"),
+        ("torus", 6, PIN, BudgetExceeded,
+         "2^24 Gauss sum terms exceed the budget 1048576"),
+    ])
+    def test_refusal_order(self, monkeypatch, name, copies, mode, error, message):
+        # dim H^1 = 12 for the copies: each refusal but the last would also
+        # meet the product budget, and none may enumerate a function
+        x = z = catalog(name).complex
+        for _ in range(copies - 1):
+            z, _, _ = disjoint_union(z, x)
+        m = validate_manifold(z, x.dim, require_full=False, require_ordering=False)
+        monkeypatch.setattr(quadratic, "enumerate_quadratics", None)
+        with pytest.raises(error) as info:
+            brown_invariants(m, mode)
+        assert str(info.value) == message
 
 
 class TestVerify:

@@ -95,10 +95,30 @@ class TestComplexFormat:
         ("dim 1\nsimplex 0 1\nboundary\n", 3),
         ("simplex 0 1\nsimplex 1 2\nboundary\n", 3),
         ("dim 1\nsimplex 0 1\norient +1\n", 3),
+        # a rank line for a vertex in no simplex, before or after the simplices
+        ("dim 1\nsimplex 0 1\nrank 7 0\n", 3),
+        ("rank 0 0\nrank 5 1\nsimplex 0 1\n", 2),
     ])
     def test_unknown_vertex_names_its_line(self, text, line):
         with pytest.raises(ParseError) as info:
             manifold_from_text(text)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("text, line", [
+        ("dim 1\nsimplex 0 1\ndim 1\n", 3),
+        ("rank 0 1\nsimplex 0 1\nrank 0 1\n", 3),
+        ("rank 0 1\nrank 1 0\nrank 0 2\nsimplex 0 1\n", 3),
+        ("dim 2\nsimplex 0 1 2\norient 0 1 2 +1\norient 0 1 2 +1\n", 4),
+        ("dim 2\nsimplex 0 1 2\norient 0 1 2 +1\norient 2 0 1 -1\n", 4),
+        ("dim 2 3\nsimplex 0 1 2\n", 1),
+        ("simplex 0 1\nrank 0 1 2\n", 2),
+    ], ids=["dim-twice", "rank-twice", "rank-twice-apart", "orient-twice",
+            "orient-twice-reordered", "dim-extra-field", "rank-extra-field"])
+    def test_repeated_or_overlong_line_names_its_line(self, text, line):
+        # each was once accepted, the later line overwriting the earlier
+        # or its extra fields ignored
+        with pytest.raises(ParseError) as info:
+            parse_complex(text)
         assert info.value.line == line
 
     @pytest.mark.parametrize("text, line", [
