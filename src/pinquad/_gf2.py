@@ -23,7 +23,10 @@ stays where the stored rows themselves are read: the ``Echelon`` of
 ``eliminate``.  Its rows key ``representatives`` (whose residuals fix the
 cohomology bases and with them the golden files), the decompositions of
 the cohomology solver, the G^pin engine and the normal form of the
-brute-force oracle.
+brute-force oracle.  It is also the costliest pass, so the cohomology
+solver runs it only when something reads it: in its constructor when
+cocycles survive, else on its first decomposition, and a degree where no
+class survives runs no lowest-bit pass until then.
 A change of either rule touches this module alone.
 
 Clearing.  When the columns are d_{k-1} of a chain complex, each j in P =

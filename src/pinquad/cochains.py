@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ._gf2 import Echelon, combine, low_bit, nullspace_and_top_bits, representatives, top_bits
+from ._gf2 import Echelon, combine, eliminate, low_bit, nullspace_and_top_bits, representatives, top_bits
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached, cofaces
 from .errors import (
     ComplexMismatch,
@@ -492,15 +492,16 @@ def extend_by_zero(target: OrderedComplex, c: Cochain) -> Cochain:
 
 
 def pullback(f: SimplicialMap, c: Cochain) -> Cochain:
-    """(f*c)(s) = c(f s), zero on simplices with degenerate image."""
+    """(f*c)(s) = c(f s), zero on simplices with degenerate image.
+
+    A degenerate image repeats a vertex, so it is no key of ``c.values``
+    and one lookup of the image tuple covers both cases."""
     if c.complex is not f.target:
         raise ComplexMismatch("cochain does not live on the map's target")
+    vertex_map, values = f.vertex_map, c.values
     vals: Dict[Simplex, object] = {}
     for s in f.source.simplices(c.degree):
-        img = f.nondegenerate_image(s)
-        if img is None:
-            continue
-        v = c.values.get(img)
+        v = values.get(tuple([vertex_map[u] for u in s]))
         if v:
             vals[s] = v
     return Cochain._of(f.source, c.degree, c.ring, vals)
@@ -535,7 +536,12 @@ class CohomologySolver:
     ``_gf2.nullspace_and_top_bits``; the pivot rule does not move a kernel
     tracker.  The representatives and the decompositions read the
     lowest-bit boundary echelon of d_{k-1} (``_gf2.representatives``),
-    which fixes the bases.
+    which fixes the bases.  It is built on first read: at once when
+    cocycles survive, to reduce them to representatives, and otherwise on
+    the first decomposition, so a degree where no class survives runs no
+    lowest-bit pass until a decomposition.  The deferred build is the same
+    ``eliminate`` on the same columns and skip, so its rows and trackers
+    are those of the eager one.
     Two clearings (``_gf2``) skip the columns at the top bits of an image:
     those of d_k at the top bits of im d_{k-1}, so the kernel holds only the
     dim H^k cocycles that survive modulo the boundaries, and those of
@@ -561,20 +567,29 @@ class CohomologySolver:
         self.simplices: Tuple[Simplex, ...] = pair.relative_simplices(degree)
         self._shift = len(pair.relative_simplices(degree - 1))
 
+        self._rep_bits: List[int] = []
         if not self.simplices:
             # an empty degree: no operator, no elimination, and d_k has no
             # column, so im d_k has no top bit
             cached(pair, ("tops", degree), frozenset)
-            self._ech, self._rep_bits = Echelon(), []
+            self._ech = Echelon()
         else:
-            below = coboundary_bits(pair, degree - 1)
+            below = coboundary_bits(pair, degree - 1)  # budget-checked before d_k
             cocycles, tops = nullspace_and_top_bits(
                 coboundary_bits(pair, degree), _tops(pair, degree - 1))
             cached(pair, ("tops", degree), lambda: tops)
-            self._ech, self._rep_bits = representatives(
-                below, cocycles, self._shift, _tops(pair, degree - 2))
+            if cocycles:
+                self._ech, self._rep_bits = representatives(
+                    below, cocycles, self._shift, _tops(pair, degree - 2))
         self.basis: Tuple[Cochain, ...] = tuple(
             from_bits(pair, degree, r) for r in self._rep_bits)
+
+    @cached_property
+    def _ech(self) -> Echelon:
+        """The boundary echelon when the constructor set none (no class
+        survives): ``representatives`` with no cycle is this ``eliminate``."""
+        return eliminate(coboundary_bits(self.pair, self.degree - 1),
+                         _tops(self.pair, self.degree - 2))
 
     @property
     def dim(self) -> int:

@@ -7,8 +7,10 @@ are nonnegative integers and all parsing is bit-exact: every integer, in
 both formats, is an optional sign and ASCII digits (``integer``).  A file
 is refused, with the line named, when a line is malformed or a dim or rank
 line has extra fields, when dim is declared twice, a vertex is ranked
-twice or a simplex oriented twice (in any vertex order), and when a rank,
-boundary or orient line names a vertex that lies in no simplex.
+twice, or a simplex is listed twice on simplex lines, on boundary lines or
+on orient lines (in any vertex order), when `boundary auto` is repeated or
+joined by explicit boundary lines, and when a rank, boundary or orient line
+names a vertex that lies in no simplex.
 
 Cochain files: a `cochain <ring> <degree>` header followed by lines
 `<v0> <v1> ... -> <value>`; Z2 values are 0/1, Z4 values 0..3, QmodZ
@@ -91,8 +93,17 @@ def parse_complex(text: str) -> ComplexSpec:
     the module docstring refuses."""
     spec = ComplexSpec()
     explicit_boundary: List[Simplex] = []
+    auto_line: Optional[int] = None  # the boundary auto line
     named: List[tuple] = []  # (lineno, raw, vertices) of rank/boundary/orient lines
-    oriented: Dict[Simplex, int] = {}  # sorted simplex -> its orient line
+    # sorted simplex -> the line that lists it, one table per directive
+    listed: Dict[str, Dict[Simplex, int]] = {"simplex": {}, "boundary": {}, "orient": {}}
+
+    def once(key: str, simplex: Simplex, lineno: int) -> None:
+        first = listed[key].setdefault(tuple(sorted(simplex)), lineno)
+        if first != lineno:
+            what = f"{simplex} is oriented" if key == "orient" else f"{key} {simplex} is listed"
+            raise ParseError(f"{what} twice, first on line {first}", lineno)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -114,17 +125,25 @@ def parse_complex(text: str) -> ComplexSpec:
                 named.append((lineno, raw, (v,)))
             elif key == "simplex":
                 spec.maximal.append(_simplex(args))
+                once(key, spec.maximal[-1], lineno)
             elif key == "boundary":
-                if args != ["auto"]:
+                if args == ["auto"]:
+                    if auto_line is not None:
+                        raise ParseError(f"second boundary auto line, first on line {auto_line}",
+                                         lineno)
+                    auto_line = lineno
+                else:
                     explicit_boundary.append(_simplex(args))
+                    once(key, explicit_boundary[-1], lineno)
                     named.append((lineno, raw, explicit_boundary[-1]))
+                if auto_line is not None and explicit_boundary:
+                    first = min(auto_line, *listed["boundary"].values())
+                    raise ParseError("boundary auto and explicit boundary lines together, "
+                                     f"first on line {first}", lineno)
             elif key == "orient":
                 sign = {"+1": 1, "1": 1, "-1": -1}[args[-1]]
                 simplex = _simplex(args[:-1])
-                first = oriented.setdefault(tuple(sorted(simplex)), lineno)
-                if first != lineno:
-                    raise ParseError(f"{simplex} is oriented twice, first on line {first}",
-                                     lineno)
+                once(key, simplex, lineno)
                 if spec.orientation is None:
                     spec.orientation = {}
                 spec.orientation[simplex] = sign

@@ -10,6 +10,7 @@ from pinquad.cochains import (
     CohomologySolver,
     INT,
     QMODZ,
+    RINGS,
     Z2,
     Z4,
     coboundary_bits,
@@ -28,13 +29,14 @@ from pinquad.cochains import (
     wu_v2_check,
     zero_cochain,
 )
-from pinquad import cochains, errors
-from pinquad._gf2 import top_bits
+from pinquad import _gf2, cochains, errors
+from pinquad._gf2 import eliminate, representatives, top_bits
 from pinquad.complexes import (
     ComplexPair,
     absolute_pair,
     barycentric_subdivide,
     build_complex,
+    collapse_map,
     disjoint_union,
     identity_map,
     maximal_simplices,
@@ -210,6 +212,53 @@ class TestPullback:
             if pullback(f, cup_i(X, Y, i)) != cup_i(pullback(f, X), pullback(f, Y), i):
                 failures.append(f"trial {t}: cup_{i}")
         assert not failures
+
+
+def reference_pullback(f, c):
+    """The pullback as once written: drop the simplices whose image is
+    degenerate, then look the image up."""
+    vals = {}
+    for s in f.source.simplices(c.degree):
+        img = f.nondegenerate_image(s)
+        if img is not None and c.values.get(img):
+            vals[s] = c.values[img]
+    return Cochain(f.source, c.degree, c.ring, vals)
+
+
+# the catalog manifolds with a boundary, each with a collapse map
+COLLAPSIBLE = ("disk1", "disk2", "disk3", "mobius", "annulus", "solid_torus")
+
+
+@lru_cache(maxsize=None)
+def _pullback_map(label):
+    """to_base of sd of a catalog complex (sd:name), or the collapse map of
+    ``collapse_transfer`` (collapse:name)."""
+    kind, name = label.split(":")
+    if kind == "sd":
+        return barycentric_subdivide(catalog(name).complex).to_base
+    return collapse_map(catalog(name)).map
+
+
+class TestPullbackReference:
+    def test_every_manifold_with_boundary_collapses(self):
+        assert COLLAPSIBLE == tuple(n for n in CATALOG_NAMES if not catalog(n).closed)
+
+    @pytest.mark.parametrize("label", [f"sd:{n}" for n in CATALOG_NAMES]
+                             + [f"collapse:{n}" for n in COLLAPSIBLE])
+    def test_matches_the_nondegenerate_filter(self, label):
+        f = _pullback_map(label)
+        rng = random.Random(f"pullback-reference:{label}")
+        degenerate = 0
+        for k in range(f.source.dim + 1):
+            degenerate += sum(f.nondegenerate_image(s) is None for s in f.source.simplices(k))
+            for ring in RINGS:
+                c = random_cochain(rng, f.target, k, ring)
+                got, ref = pullback(f, c), reference_pullback(f, c)
+                assert got == ref and list(got.values) == list(ref.values), (k, ring)
+        # the catalog disks have no interior vertex, so their collapse is
+        # injective, and sd of a point is the point
+        assert degenerate or label in ("sd:sphere0", "collapse:disk1", "collapse:disk2",
+                                       "collapse:disk3")
 
 
 class TestIntegrate:
@@ -583,6 +632,53 @@ class TestSolverTopBits:
             lone = ComplexPair(shared.ambient, shared.sub)
             CohomologySolver(lone, k)
             assert lone.cache[("tops", k)] == expected[k]
+
+
+class TestDeferredEchelon:
+    """The boundary echelon of d_{k-1} is read only to reduce surviving
+    cocycles and by decompositions, so a degree where no class survives
+    eliminates it on its first decomposition and not before."""
+
+    @staticmethod
+    def count_eliminations(monkeypatch):
+        calls = []
+
+        def counting(columns, skip=()):
+            calls.append(len(columns))
+            return eliminate(columns, skip)
+
+        monkeypatch.setattr(_gf2, "eliminate", counting)
+        monkeypatch.setattr(cochains, "eliminate", counting)
+        return calls
+
+    @pytest.mark.parametrize("name,k", [
+        ("sphere3", 1), ("sphere3", 2), ("sd:sphere3", 2), ("sphere2", 1)])
+    def test_no_class_defers_the_elimination_to_a_decomposition(self, monkeypatch, name, k):
+        shared = _euler_fixture(name)
+        pair = ComplexPair(shared.ambient, shared.sub)
+        calls = self.count_eliminations(monkeypatch)
+        s = solver(pair, k)
+        assert (s.dim, s._rep_bits, calls) == (0, [], [])
+        below = coboundary_bits(pair, k - 1)
+        rng = random.Random(f"deferred:{name}:{k}")
+        for _ in range(2):
+            c = from_bits(pair, k - 1, rng.getrandbits(len(below)))
+            coords, cert = s.decompose(d(c))
+            assert coords == () and d(cert) == d(c)
+            assert calls == [len(below)]
+        eager, reps = representatives(below, [], s._shift, cochains._tops(pair, k - 2))
+        assert reps == [] and s._ech.rows == eager.rows  # rows and trackers
+        assert eager.rows == representatives(below, [], s._shift)[0].rows
+
+    @pytest.mark.parametrize("name,k", [("rp2", 1), ("torus", 1), ("sd:sphere3", 3)])
+    def test_surviving_classes_eliminate_in_the_constructor(self, monkeypatch, name, k):
+        shared = _euler_fixture(name)
+        pair = ComplexPair(shared.ambient, shared.sub)
+        calls = self.count_eliminations(monkeypatch)
+        s = solver(pair, k)
+        assert s.dim > 0 and len(calls) == 1
+        s.decompose(s.basis[0])
+        assert len(calls) == 1
 
 
 def face_scan_d(c):

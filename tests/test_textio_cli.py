@@ -52,6 +52,14 @@ class TestComplexFormat:
                 manifold_from_text(text, require_full=False, require_ordering=False)
         assert mixed >= 15
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_fixture_text_is_accepted(self, name):
+        # the writer lists each simplex once and only boundary auto, which
+        # the parser's refusals of repeated and mixed lines must let through
+        m = catalog(name)
+        x = complex_from_text(fixture_text(name))
+        assert x.simplices_by_dim == m.complex.simplices_by_dim and x.rank == m.complex.rank
+
     def test_rank_lines(self):
         text = "dim 1\nrank 0 5\nrank 1 2\nsimplex 0 1\nboundary auto\n"
         x = complex_from_text(text)
@@ -112,11 +120,20 @@ class TestComplexFormat:
         ("dim 2\nsimplex 0 1 2\norient 0 1 2 +1\norient 2 0 1 -1\n", 4),
         ("dim 2 3\nsimplex 0 1 2\n", 1),
         ("simplex 0 1\nrank 0 1 2\n", 2),
+        ("dim 1\nsimplex 0 1\nsimplex 1 2\nsimplex 0 1\n", 4),
+        ("dim 1\nsimplex 0 1\nsimplex 1 2\nsimplex 1 0\n", 4),
+        ("dim 1\nsimplex 0 1\nsimplex 1 2\nboundary 0\nboundary 0\nboundary 2\n", 5),
+        ("dim 1\nsimplex 0 1\nboundary auto\nboundary auto\n", 4),
+        ("dim 1\nsimplex 0 1\nsimplex 1 2\nboundary auto\nboundary 0\nboundary 2\n", 5),
+        ("dim 1\nsimplex 0 1\nsimplex 1 2\nboundary 0\nboundary 2\nboundary auto\n", 6),
     ], ids=["dim-twice", "rank-twice", "rank-twice-apart", "orient-twice",
-            "orient-twice-reordered", "dim-extra-field", "rank-extra-field"])
+            "orient-twice-reordered", "dim-extra-field", "rank-extra-field", "simplex-twice",
+            "simplex-twice-reordered", "boundary-twice", "boundary-auto-twice",
+            "explicit-after-auto", "auto-after-explicit"])
     def test_repeated_or_overlong_line_names_its_line(self, text, line):
-        # each was once accepted, the later line overwriting the earlier
-        # or its extra fields ignored
+        # each was once accepted, the later line overwriting or repeating
+        # the earlier (explicit boundary lines overriding boundary auto) or
+        # its extra fields ignored
         with pytest.raises(ParseError) as info:
             parse_complex(text)
         assert info.value.line == line
