@@ -16,9 +16,10 @@ the modules it computes with.  Every command loads ``cochains``,
 - ``ggroup`` loads ``ggroups``, but not ``quadratic``;
 - ``identities`` loads ``identities`` and ``suspension``.
 
-For the same reason the package's records are NamedTuples or plain
-classes: the standard library's record decorator would bring ``inspect``
-and ``ast`` into every command.
+For the same reason the package's records are NamedTuples, or
+``types.SimpleNamespace`` subclasses for the three mutable reports (``site``
+loads ``types`` at start-up): the standard library's record decorator
+would bring ``inspect`` and ``ast`` into every command.
 """
 
 from __future__ import annotations

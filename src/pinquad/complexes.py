@@ -535,9 +535,9 @@ class Cone(NamedTuple):
 
 def cone(x: OrderedComplex) -> Cone:
     """Cone with the apex, ``upper``, ranked after every vertex of the base."""
-    upper = max(x.vertices) + 1
+    upper = max(x.vertices, default=-1) + 1
     rank = dict(x.rank)
-    rank[upper] = max(rank.values()) + 1
+    rank[upper] = max(rank.values(), default=-1) + 1
     simplices = [(upper,)]
     for s in x.all_simplices():
         simplices += (s, s + (upper,))
@@ -554,11 +554,11 @@ class SuspensionComplex(NamedTuple):
 
 def suspension(x: OrderedComplex) -> SuspensionComplex:
     """Union of an upper cone (vertex ranked last) and a lower cone (first)."""
-    lower = max(x.vertices) + 1
+    lower = max(x.vertices, default=-1) + 1
     upper = lower + 1
     rank = dict(x.rank)
-    rank[lower] = min(x.rank.values()) - 1
-    rank[upper] = max(x.rank.values()) + 1
+    rank[lower] = min(x.rank.values(), default=0) - 1
+    rank[upper] = max(x.rank.values(), default=0) + 1
     simplices = [(lower,), (upper,)]
     for s in x.all_simplices():
         simplices += (s, s + (upper,), (lower,) + s)
@@ -637,7 +637,7 @@ def disjoint_union(
 ) -> Tuple[OrderedComplex, SimplicialMap, SimplicialMap]:
     # y's vertices move above x's; shifting a negative one by max + 1 alone
     # could land it on a vertex of x
-    offset = max(x.vertices) + 1 - min(min(y.vertices, default=0), 0)
+    offset = max(x.vertices, default=-1) + 1 - min(min(y.vertices, default=0), 0)
     rank = dict(x.rank)
     for v in y.vertices:
         rank[v + offset] = y.rank[v]

@@ -9,6 +9,10 @@ conditions are irrelevant and enumeration sizes matter: ``RAW_PAIRS`` maps
 a fixture name to the builder of its raw pair, which ``pinquad ggroup
 --fixture`` computes on in place of the catalog entry.
 
+Each fixture is declared once, in ``_BUILDERS``, the table from fixture
+name to builder: its keys, in order, are ``CATALOG_NAMES``, and ``catalog``
+refuses every other name.
+
     name         f-vector              notes
     sphere(n)    binomials of n+2      boundary of a simplex, oriented
     disk(n)      cone over sphere(n-1) oriented, apex ranked last
@@ -78,15 +82,6 @@ KLEIN_TRIANGLES = _klein_triangles()
 # 5-vertex Moebius band; boundary is the 5-cycle 0-2-4-1-3.
 MOBIUS_TRIANGLES = ((0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4))
 
-CATALOG_NAMES = (
-    "sphere0", "sphere1", "sphere2", "sphere3", "sphere4",
-    "disk1", "disk2", "disk3",
-    "rp2", "torus", "klein", "mobius", "annulus", "solid_torus", "cp2",
-)
-
-_cache: Dict[str, ManifoldPair] = {}
-
-
 def sphere_complex(n: int) -> OrderedComplex:
     """Boundary of the standard (n+1)-simplex."""
     return build_complex(itertools.combinations(range(n + 2), n + 1))
@@ -115,30 +110,11 @@ RAW_PAIRS: Dict[str, Callable[[], ComplexPair]] = {
     "mobius": raw_mobius_pair, "annulus": raw_annulus_pair}
 
 
-def _build(name: str) -> ManifoldPair:
-    if name.startswith("sphere"):
-        n = int(name[6:])
-        return validate_manifold(sphere_complex(n), n)
-    if name.startswith("disk"):
-        n = int(name[4:])
-        return validate_manifold(cone(sphere_complex(n - 1)).complex, n)
-    if name == "rp2":
-        return validate_manifold(build_complex(RP2_TRIANGLES), 2)
-    if name == "torus":
-        return validate_manifold(build_complex(TORUS_TRIANGLES), 2)
-    if name == "klein":
-        return validate_manifold(build_complex(KLEIN_TRIANGLES), 2)
-    if name == "mobius":
-        sd = barycentric_subdivide(build_complex(MOBIUS_TRIANGLES))
-        return validate_manifold(sd.complex, 2)
-    if name == "annulus":
-        sd = barycentric_subdivide(cylinder(circle_complex()).complex)
-        return validate_manifold(sd.complex, 2)
-    if name == "solid_torus":
-        tube = cylinder(cylinder(circle_complex()).complex)
-        sd = barycentric_subdivide(tube.complex)
-        return validate_manifold(sd.complex, 3)
-    # catalog has refused every name outside CATALOG_NAMES, so this is cp2;
+def _subdivided(x: OrderedComplex, n: int) -> ManifoldPair:
+    return validate_manifold(barycentric_subdivide(x).complex, n)
+
+
+def _cp2() -> ManifoldPair:
     # importlib.resources (pathlib, tempfile, zipfile) is most of this
     # module's import time, and only cp2 reads a data file
     from importlib import resources
@@ -147,13 +123,32 @@ def _build(name: str) -> ManifoldPair:
     return manifold_from_text(text)
 
 
+# fixture name -> builder, in catalog order: the one list of fixtures
+_BUILDERS: Dict[str, Callable[[], ManifoldPair]] = {
+    **{f"sphere{n}": (lambda n=n: validate_manifold(sphere_complex(n), n))
+       for n in range(5)},
+    **{f"disk{n}": (lambda n=n: validate_manifold(cone(sphere_complex(n - 1)).complex, n))
+       for n in range(1, 4)},
+    "rp2": lambda: validate_manifold(build_complex(RP2_TRIANGLES), 2),
+    "torus": lambda: validate_manifold(build_complex(TORUS_TRIANGLES), 2),
+    "klein": lambda: validate_manifold(build_complex(KLEIN_TRIANGLES), 2),
+    "mobius": lambda: _subdivided(build_complex(MOBIUS_TRIANGLES), 2),
+    "annulus": lambda: _subdivided(cylinder(circle_complex()).complex, 2),
+    "solid_torus": lambda: _subdivided(cylinder(cylinder(circle_complex()).complex).complex, 3),
+    "cp2": _cp2,
+}
+CATALOG_NAMES = tuple(_BUILDERS)
+
+_cache: Dict[str, ManifoldPair] = {}
+
+
 def catalog(name: str) -> ManifoldPair:
     """A validated ManifoldPair for one of the documented fixture names."""
     key = name.strip().lower().replace("(", "").replace(")", "")
-    if key not in CATALOG_NAMES:
+    if key not in _BUILDERS:
         raise UnknownFixture(name)
     if key not in _cache:
-        _cache[key] = _build(key)
+        _cache[key] = _BUILDERS[key]()
     return _cache[key]
 
 

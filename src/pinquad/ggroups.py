@@ -195,24 +195,13 @@ class _SequenceData:
                     [self.s_np1._decompose_bits(sq(2, p))[0] for p in self.s_nm1.basis])
         self.sh_kernel: List[int] = nullspace(sq2_cols)
 
-        # phi on classes: [p] -> [Sq^1 p]
-        self.phi_cols = [self.s_n._decompose_bits(sq(1, p))[0] for p in self.s_nm1.basis]
+        # phi on classes: [p] -> [Sq^1 p], one row per SH kernel vector
+        phi_cols = [self.s_n._decompose_bits(sq(1, p))[0] for p in self.s_nm1.basis]
+        self.phi_rows = [combine(phi_cols, kv) for kv in self.sh_kernel]
 
-    def phi_of(self, combo_bits: int) -> int:
-        return combine(self.phi_cols, combo_bits)
-
-    @property
-    def qh_dim(self) -> int:
-        return self.s_n.dim - self.b_rank
-
-    @property
-    def sh_dim(self) -> int:
-        return len(self.sh_kernel)
-
-    @property
-    def phi_rank(self) -> int:
-        phi_rows = [self.phi_of(kv) for kv in self.sh_kernel]
-        return rank(self.b_rows + phi_rows) - self.b_rank
+        self.qh_dim = self.s_n.dim - self.b_rank
+        self.sh_dim = len(self.sh_kernel)
+        self.phi_rank = rank(self.b_rows + self.phi_rows) - self.b_rank
 
 
 def _sequence_data(pair: ComplexPair, n: int) -> _SequenceData:
@@ -260,8 +249,7 @@ def g_pin(pair: ComplexPair, n: int) -> GGroupStructure:
         ech.add(r, 0)
     picks4: List[int] = []
     sh2: List[int] = []
-    for kv in data.sh_kernel:
-        phi_bits = data.phi_of(kv)
+    for kv, phi_bits in zip(data.sh_kernel, data.phi_rows):
         rem, track = ech.reduce(phi_bits, 0)
         if rem:
             ech.add(phi_bits, 1 << len(picks4))

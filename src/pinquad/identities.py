@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .cochains import Cochain, CohomologySolver, INT, QMODZ, Z2, Z4, cup_i, d, sq
@@ -22,19 +23,11 @@ from .complexes import OrderedComplex, absolute_pair, build_complex, cached, sus
 from .suspension import suspend
 
 
-class IdentityReport:
+class IdentityReport(SimpleNamespace):
     def __init__(self, name: str, trials: int,
                  failures: Optional[List[str]] = None) -> None:
-        self.name = name
-        self.trials = trials
-        self.failures: List[str] = [] if failures is None else failures
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is IdentityReport and vars(other) == vars(self)
-
-    def __repr__(self) -> str:
-        return (f"IdentityReport(name={self.name!r}, trials={self.trials!r}, "
-                f"failures={self.failures!r})")
+        super().__init__(name=name, trials=trials,
+                         failures=[] if failures is None else failures)
 
     @property
     def ok(self) -> bool:

@@ -46,6 +46,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from operator import xor
+from types import SimpleNamespace
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _gf2
@@ -150,7 +151,7 @@ class _Context:
         pairing = {e: sum(((bits & r).bit_count() & 1) << j for j, r in enumerate(reps))
                    for e, bits in pair_form.items()}
         self.pairing = [pairing.get(e, 0) for e in m.complex.simplices(1)]
-        self.cross = [[bin(row & r).count("1") % 2 for r in reps] for row in self.rows]
+        self.cross = [[(row & r).bit_count() % 2 for r in reps] for row in self.rows]
         self.sq1 = tuple(row[j] for j, row in enumerate(self.cross))
 
 
@@ -267,11 +268,11 @@ def _fold(ctx: _Context, coords: int, values: Sequence[int], pre: int, dpre: int
         for l in support[:t]:
             val += 2 * ctx.cross[l][j]
     if dpre:
-        val += 2 * bin(_gf2.combine(ctx.rows, coords) & dpre).count("1")
+        val += 2 * (_gf2.combine(ctx.rows, coords) & dpre).bit_count()
         m = ctx.manifold
         if m.n >= 3:
             table = cached(m, "sq2_rows", lambda: _sq2_rows(m))
-            val += 2 * bin(_gf2.combine(table, pre) & (pre | dpre << len(table))).count("1")
+            val += 2 * (_gf2.combine(table, pre) & (pre | dpre << len(table))).bit_count()
     return val % 4
 
 
@@ -358,7 +359,7 @@ def quadratic_from_prescribed(
     if _gf2.rank(cols) < h:
         raise NotACocycle("prescribed cocycles do not span the cohomology")
     v2 = _gf2.solve(cols, sum((b & 1) << j for j, b in enumerate(rhs)))
-    halves = [(b - bin(r & v2).count("1")) // 2 for r, b in zip(rows, rhs)]
+    halves = [(b - (r & v2).bit_count()) // 2 for r, b in zip(rows, rhs)]
     u = _gf2.solve(cols, sum((c & 1) << j for j, c in enumerate(halves)))
     values = [((v2 >> l) & 1) + 2 * ((u >> l) & 1) for l in range(h)]
     return QuadraticFunction(ctx, mode, values)
@@ -581,16 +582,9 @@ def disjoint_sum(q1: QuadraticFunction, q2: QuadraticFunction):
     return mz, qz
 
 
-class VerifyReport:
+class VerifyReport(SimpleNamespace):
     def __init__(self, trials: int, failures: Optional[List[str]] = None) -> None:
-        self.trials = trials
-        self.failures: List[str] = [] if failures is None else failures
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is VerifyReport and vars(other) == vars(self)
-
-    def __repr__(self) -> str:
-        return f"VerifyReport(trials={self.trials!r}, failures={self.failures!r})"
+        super().__init__(trials=trials, failures=[] if failures is None else failures)
 
     @property
     def ok(self) -> bool:

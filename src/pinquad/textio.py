@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from .cochains import Cochain, QMODZ, RINGS
@@ -60,25 +61,15 @@ def _simplex(args: List[str]) -> Simplex:
     return tuple(map(_vertex, args))
 
 
-class ComplexSpec:
+class ComplexSpec(SimpleNamespace):
     def __init__(self, dim: Optional[int] = None,
                  rank: Optional[Dict[int, int]] = None,
                  maximal: Optional[List[Simplex]] = None,
                  boundary: object = "auto",
                  orientation: Optional[Dict[Simplex, int]] = None) -> None:
-        self.dim = dim
-        self.rank: Dict[int, int] = {} if rank is None else rank
-        self.maximal: List[Simplex] = [] if maximal is None else maximal
-        self.boundary = boundary
-        self.orientation = orientation
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ComplexSpec and vars(other) == vars(self)
-
-    def __repr__(self) -> str:
-        return (f"ComplexSpec(dim={self.dim!r}, rank={self.rank!r}, "
-                f"maximal={self.maximal!r}, boundary={self.boundary!r}, "
-                f"orientation={self.orientation!r})")
+        super().__init__(dim=dim, rank={} if rank is None else rank,
+                         maximal=[] if maximal is None else maximal,
+                         boundary=boundary, orientation=orientation)
 
 
 def _fields(args: List[str], count: int) -> List[str]:

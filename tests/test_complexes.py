@@ -599,6 +599,19 @@ class TestTrustedComplexProducers:
         self.assert_trusted_map(identity_map(x))
         self.assert_trusted_complex(ComplexPair(x, sub).sub_complex())
 
+    def test_the_empty_complex(self):
+        # the cone over nothing is a point, its suspension S^0, and its
+        # union with y a copy of y
+        empty = build_complex([])
+        y = build_complex([(-1, 0)])
+        z, ix, iy = disjoint_union(empty, y)
+        for x, f_vector in ((cone(empty).complex, (1,)), (suspension(empty).complex, (2,)),
+                            (z, (2, 1))):
+            self.assert_trusted_complex(x)
+            assert x.f_vector() == f_vector
+        self.assert_trusted_map(ix)
+        self.assert_trusted_map(iy)
+
     def test_a_missing_face_fails_the_check(self):
         x = OrderedComplex._of({0: ((0,), (1,)), 1: ((0, 1), (0, 2))}, {0: 0, 1: 1, 2: 2})
         with pytest.raises(ValueError, match="missing"):

@@ -1,5 +1,6 @@
-"""The package's records: NamedTuples for the immutable ones, plain classes
-for the three mutable reports, and GPair, a NamedTuple checked when built."""
+"""The package's records: NamedTuples for the immutable ones,
+SimpleNamespace subclasses for the three mutable reports, and GPair, a
+NamedTuple checked when built."""
 
 from fractions import Fraction
 

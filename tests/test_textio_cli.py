@@ -709,7 +709,7 @@ def test_cli_import_leaves_the_heavy_modules_unloaded():
     (["-S"], ["info", "--fixture", "rp2"], ("quadratic", "ggroups", "identities", "suspension")),
 ], ids=["info", "quad", "ggroup", "identities", "info-S"])
 def test_each_command_imports_only_its_modules(flags, argv, unused):
-    # the records are NamedTuples or plain classes, so no command pays for
+    # the records are NamedTuples or SimpleNamespaces, so no command pays for
     # dataclasses (inspect, ast, ...), and ggroup reaches quadratic only
     # through the bridge functions
     proc = subprocess.run([sys.executable, *flags, "-X", "importtime", "-m", "pinquad.cli"] + argv,
