@@ -25,8 +25,11 @@ cohomology bases and with them the golden files), the decompositions of
 the cohomology solver, the G^pin engine and the normal form of the
 brute-force oracle.  It is also the costliest pass, so the cohomology
 solver runs it only when something reads it: in its constructor when
-cocycles survive, else on its first decomposition, and a degree where no
-class survives runs no lowest-bit pass until then.
+cocycles survive that it must reduce, else on its first decomposition.  A
+degree where no class survives runs no lowest-bit pass until then, and
+neither does a dual-graph degree (``cochains._dual_graph``): there d_k is 0
+and each column of d_{k-1} has at most two bits, so the classes, their
+representatives and their coordinates are read off a union-find.
 A change of either rule touches this module alone.
 
 Clearing.  When the columns are d_{k-1} of a chain complex, each j in P =

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ._gf2 import Echelon, combine, eliminate, low_bit, nullspace_and_top_bits, representatives, top_bits
+from ._gf2 import Echelon, combine, low_bit, nullspace_and_top_bits, representatives, top_bits
 from .complexes import ComplexPair, ManifoldPair, OrderedComplex, SimplicialMap, Simplex, cached, cofaces
 from .errors import (
     ComplexMismatch,
@@ -248,6 +248,23 @@ def from_bits(pair: ComplexPair, k: int, bits: int) -> Cochain:
     return Cochain._of(pair.ambient, k, Z2, vals)
 
 
+def _positions(pair: ComplexPair, k: int) -> List[int]:
+    """The relative position of each ambient k-simplex, -1 in the subcomplex:
+    one walk beside ``relative_simplices(k)``, which holds the ambient's own
+    tuples in the ambient's order, so no simplex is hashed."""
+    bit, j = [], 0
+    relative = iter(pair.relative_simplices(k))
+    following = next(relative, None)
+    for s in pair.ambient.simplices(k):
+        if s is following:
+            bit.append(j)
+            j += 1
+            following = next(relative, None)
+        else:
+            bit.append(-1)
+    return bit
+
+
 def coboundary_bits(pair: ComplexPair, k: int) -> List[int]:
     """The mod-2 coboundary from relative k- to relative (k+1)-cochains.
 
@@ -256,9 +273,7 @@ def coboundary_bits(pair: ComplexPair, k: int) -> List[int]:
     complex's coface index (``complexes.cofaces``), whose positions index
     ``ambient.simplices(k + 1)``: when the subcomplex has no
     (k+1)-simplex, as on an empty one, a position is the bit.  Otherwise it
-    is mapped to the bit through a position list, built in one walk beside
-    ``relative_simplices(k + 1)``, which holds the ambient's own tuples in
-    the ambient's order, so no coface is hashed.  Built once per pair and
+    is mapped to the bit through ``_positions``.  Built once per pair and
     degree; callers must not mutate it.  An operator whose dense size
     exceeds ``errors.OPERATOR_BUDGET`` is refused before any column is built.
     """
@@ -267,27 +282,17 @@ def coboundary_bits(pair: ComplexPair, k: int) -> List[int]:
         check_operator(k, len(simplices), len(above))
         up = cofaces(pair.ambient, k)
         entries = up.values() if len(simplices) == len(up) else map(up.__getitem__, simplices)
-        ambient = pair.ambient.simplices(k + 1)
         columns = []
-        if len(above) == len(ambient):
+        if len(above) == len(pair.ambient.simplices(k + 1)):
             for entry in entries:
                 v = 0
                 for t in entry[1:]:
                     v |= 1 << t
                 columns.append(v)
             return columns
-        # ambient position -> relative one, -1 in the subcomplex, where no
-        # coface of a relative simplex lies: the subcomplex is face-closed
-        bit, j = [], 0
-        relative = iter(above)
-        following = next(relative, None)
-        for tau in ambient:
-            if tau is following:
-                bit.append(j)
-                j += 1
-                following = next(relative, None)
-            else:
-                bit.append(-1)
+        # no coface of a relative simplex lies in the subcomplex, which is
+        # face-closed, so no position read here is -1
+        bit = _positions(pair, k + 1)
         for entry in entries:
             v = 0
             for t in entry[1:]:
@@ -528,6 +533,77 @@ def integrate(m: ManifoldPair, w: Cochain):
 # -- cohomology over F2 --------------------------------------------------
 
 
+def _dual_graph(pair: ComplexPair, k: int) -> Optional[Tuple[List[int], List[int], List[int]]]:
+    """The classes of H^k(pair) read off the dual graph, or None when k is
+    no dual-graph degree: one with a relative (k+1)-simplex, or a relative
+    (k-1)-simplex with three k-cofaces or more.
+
+    At a dual-graph degree d_k is 0 and each column of d_{k-1} is 0, e_t or
+    e_t + e_u.  So H^k has one class for each component of the graph on the
+    relative k-simplices, joined at the faces with two cofaces, that holds
+    no face with one coface, and a cochain's coordinate on it is its parity
+    on the component.  The top bits of im d_{k-1} are every simplex of the
+    components but the first of each class, so the cleared kernel is e_t for
+    t that first simplex.  Each lowest-bit row of d_{k-1} has at most two
+    bits, in one component, and its pivots are all of a class's component
+    but its last simplex, so ``_gf2.representatives`` reduces e_first to
+    e_last.  One union-find walk over ``cofaces(x, k - 1)``, each root the
+    first simplex of its component, gives them all.
+
+    Returns the cleared kernel, the representatives, and per relative
+    k-simplex the bit 1 << i of the class i of its component, 0 where none.
+    """
+    if pair.relative_simplices(k + 1):
+        return None
+    below, up = pair.relative_simplices(k - 1), cofaces(pair.ambient, k - 1)
+    entries = up.values() if len(below) == len(up) else map(up.__getitem__, below)
+    m = len(pair.relative_simplices(k))
+    bit = range(m) if m == len(pair.ambient.simplices(k)) else _positions(pair, k)
+    root = list(range(m))
+
+    def find(t: int) -> int:
+        while root[t] != t:
+            root[t] = root[root[t]]
+            t = root[t]
+        return t
+
+    bounded = []  # the simplices above a face with one coface
+    for entry in entries:
+        if len(entry) == 3:
+            a, b = find(bit[entry[1]]), find(bit[entry[2]])
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+        elif len(entry) == 2:
+            bounded.append(bit[entry[1]])
+        elif len(entry) > 3:
+            return None
+    roots = [find(t) for t in range(m)]
+    no_class = {roots[t] for t in bounded}
+    last = dict(zip(roots, range(m)))
+    firsts = [t for t, r in enumerate(roots) if r == t and t not in no_class]
+    number = {t: 1 << i for i, t in enumerate(firsts)}
+    return ([1 << t for t in firsts], [1 << last[t] for t in firsts],
+            [number.get(r, 0) for r in roots])
+
+
+class _built_on_first_read:
+    """An attribute built by the decorated method on its first read and
+    then found in the instance dict, which an assignment fills too.  This
+    is ``functools.cached_property`` without its class-wide lock, which
+    Python 3.10 and 3.11 take on every first read."""
+
+    def __init__(self, build: Callable) -> None:
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 class CohomologySolver:
     """Basis of H^k(X, Y; F2) with exact decomposition certificates.
 
@@ -536,12 +612,7 @@ class CohomologySolver:
     ``_gf2.nullspace_and_top_bits``; the pivot rule does not move a kernel
     tracker.  The representatives and the decompositions read the
     lowest-bit boundary echelon of d_{k-1} (``_gf2.representatives``),
-    which fixes the bases.  It is built on first read: at once when
-    cocycles survive, to reduce them to representatives, and otherwise on
-    the first decomposition, so a degree where no class survives runs no
-    lowest-bit pass until a decomposition.  The deferred build is the same
-    ``eliminate`` on the same columns and skip, so its rows and trackers
-    are those of the eager one.
+    which fixes the bases.
     Two clearings (``_gf2``) skip the columns at the top bits of an image:
     those of d_k at the top bits of im d_{k-1}, so the kernel holds only the
     dim H^k cocycles that survive modulo the boundaries, and those of
@@ -554,10 +625,21 @@ class CohomologySolver:
     so a lone solver builds the chain below it and consecutive degrees
     share it.  The kernel pass of d_k is that same pass, so the solver
     stores its top bits as ``_tops(pair, k)`` for the solver above.
-    A degree with no relative k-simplex (k < 0, k > dim, or every
-    k-simplex in the subcomplex) has no cohomology: its solver has the
-    empty basis and an empty echelon, and builds no operator.  Its
-    decompositions still run the checks below, which build d_k and
+
+    Three kinds of degree skip work.  A degree with no relative k-simplex
+    (k < 0, k > dim, or every k-simplex in the subcomplex) has no
+    cohomology: its solver has the empty basis and an empty echelon, and
+    builds no operator.  A degree where no class survives builds the
+    boundary echelon only on its first read, which the first decomposition
+    makes.  So does a dual-graph degree (``_dual_graph``), such as the top
+    degree of a pseudomanifold pair, of its subdivisions and of its cone:
+    it reads its basis, and the coordinates of ``coords``, off one
+    union-find walk, with no operator, no elimination and no top bits below
+    it.  The deferred echelon is ``representatives`` of the same cleared
+    kernel, columns and skip, so its rows and trackers are those of the
+    eager build; at a dual-graph degree its representatives must be the
+    dual graph's, else ``InvariantViolation``.
+    Decompositions run the checks below at every degree, and build d_k and
     d_{k-1} on first use.
     """
 
@@ -567,12 +649,19 @@ class CohomologySolver:
         self.simplices: Tuple[Simplex, ...] = pair.relative_simplices(degree)
         self._shift = len(pair.relative_simplices(degree - 1))
 
+        # the cleared kernel where the boundary echelon waits for a read
+        self._cocycles: List[int] = []
         self._rep_bits: List[int] = []
+        # per relative simplex, the bit of its class at a dual-graph degree
+        self._class_bits: Optional[List[int]] = None
         if not self.simplices:
             # an empty degree: no operator, no elimination, and d_k has no
             # column, so im d_k has no top bit
             cached(pair, ("tops", degree), frozenset)
             self._ech = Echelon()
+        elif (graph := _dual_graph(pair, degree)) is not None:
+            cached(pair, ("tops", degree), frozenset)  # d_k is 0
+            self._cocycles, self._rep_bits, self._class_bits = graph
         else:
             below = coboundary_bits(pair, degree - 1)  # budget-checked before d_k
             cocycles, tops = nullspace_and_top_bits(
@@ -584,12 +673,15 @@ class CohomologySolver:
         self.basis: Tuple[Cochain, ...] = tuple(
             from_bits(pair, degree, r) for r in self._rep_bits)
 
-    @cached_property
+    @_built_on_first_read
     def _ech(self) -> Echelon:
-        """The boundary echelon when the constructor set none (no class
-        survives): ``representatives`` with no cycle is this ``eliminate``."""
-        return eliminate(coboundary_bits(self.pair, self.degree - 1),
-                         _tops(self.pair, self.degree - 2))
+        """The boundary echelon where the constructor set none."""
+        ech, reps = representatives(coboundary_bits(self.pair, self.degree - 1),
+                                    self._cocycles, self._shift,
+                                    _tops(self.pair, self.degree - 2))
+        if reps != self._rep_bits:
+            raise InvariantViolation("dual-graph representatives differ from the elimination's")
+        return ech
 
     @property
     def dim(self) -> int:
@@ -605,6 +697,21 @@ class CohomologySolver:
         coords, pre, _ = self._decompose_bits(p)
         a = tuple((coords >> j) & 1 for j in range(self.dim))
         return a, from_bits(self.pair, self.degree - 1, pre)
+
+    def coords(self, p: Cochain) -> int:
+        """The coordinates a of ``_decompose_bits``, over the basis as bits.
+
+        At a dual-graph degree every relative k-cochain is a cocycle, and a
+        is read off the class of each simplex of p's support, with no
+        operator and no echelon; elsewhere p is decomposed.
+        """
+        if self._class_bits is None:
+            return self._decompose_bits(p)[0]
+        if p.complex is not self.pair.ambient:
+            raise ComplexMismatch("cocycle lives on a different complex")
+        if p.degree != self.degree:
+            raise ValueError("wrong degree")
+        return combine(self._class_bits, to_bits(self.pair, p))
 
     def _decompose_bits(self, p: Cochain) -> Tuple[int, int, int]:
         """``decompose`` as bits: (a, c, dc), with a over the basis, c over

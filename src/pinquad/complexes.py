@@ -375,16 +375,18 @@ class ManifoldPair:
         return f"ManifoldPair(n={self.n}, {kind}, f={self.complex.f_vector()})"
 
 
-def _orient(x: OrderedComplex, n: int,
-            interior: List[Tuple[Simplex, Simplex, Simplex, int]]) -> Optional[Dict[Simplex, int]]:
-    """Propagate compatible orientations; None when nonorientable."""
-    sign: Dict[Simplex, int] = {}
-    adjacency: Dict[Simplex, List[Tuple[Simplex, int]]] = {s: [] for s in x.simplices(n)}
+def _orient(tops: Tuple[Simplex, ...],
+            interior: List[Tuple[Simplex, int, int, int]]) -> Optional[Dict[Simplex, int]]:
+    """Propagate compatible orientations over the top simplices, by position
+    in ``tops``; None when nonorientable.  The signs are keyed in canonical
+    order."""
+    sign = [0] * len(tops)
+    adjacency: List[List[Tuple[int, int]]] = [[] for _ in tops]
     for _, a, b, rel in interior:
         adjacency[a].append((b, rel))
         adjacency[b].append((a, rel))
-    for seed in x.simplices(n):
-        if seed in sign:
+    for seed in range(len(tops)):
+        if sign[seed]:
             continue
         sign[seed] = 1
         queue = [seed]
@@ -392,13 +394,12 @@ def _orient(x: OrderedComplex, n: int,
             cur = queue.pop()
             for nxt, rel in adjacency[cur]:
                 want = sign[cur] * rel
-                if nxt in sign:
-                    if sign[nxt] != want:
-                        return None
-                else:
+                if not sign[nxt]:
                     sign[nxt] = want
                     queue.append(nxt)
-    return sign
+                elif sign[nxt] != want:
+                    return None
+    return dict(zip(tops, sign))
 
 
 def validate_manifold(
@@ -446,15 +447,16 @@ def validate_manifold(
             s = next(s for s, above in up.items() if len(above) == 1)
             raise NotPseudoManifold(f"simplex {s} is not a face of any top simplex")
     computed_boundary = []
-    # (face, a, b, rel): compatible orientations sign b as rel times a, and rel
-    # is +1 exactly when face has opposite signs in the boundaries of a and b
+    # (face, a, b, rel), a and b positions in tops: compatible orientations
+    # sign b as rel times a, and rel is +1 exactly when face has opposite
+    # signs in the boundaries of a and b
     interior = []
     tops = x.simplices(n)
     for face, up in cofaces(x, n - 1).items():
         if len(up) == 2:
             computed_boundary.append(face)
         elif len(up) == 3:
-            interior.append((face, tops[up[1]], tops[up[2]], 1 if up[0] == 1 else -1))
+            interior.append((face, up[1], up[2], 1 if up[0] == 1 else -1))
         else:
             raise NotPseudoManifold(f"{face} has {len(up) - 1} top cofaces")
     sub = face_closure(computed_boundary)
@@ -476,14 +478,14 @@ def validate_manifold(
         raise NeedsSubdivision([f"boundary vertex after interior vertex in {misordered}"])
 
     if orientation == "auto":
-        orient = _orient(x, n, interior)
+        orient = _orient(tops, interior)
     else:
         orient = dict(orientation)
-        if (set(orient) != set(x.simplices(n))
+        if (set(orient) != set(tops)
                 or any(v not in (1, -1) for v in orient.values())):
             raise NotPseudoManifold("an orientation gives each top simplex a sign +1 or -1")
         for face, a, b, rel in interior:
-            if orient[b] != rel * orient[a]:
+            if orient[tops[b]] != rel * orient[tops[a]]:
                 raise NotPseudoManifold(f"orientation signs do not cancel at {face}")
     return ManifoldPair(pair, n, orient, not_full is None, misordered is None)
 

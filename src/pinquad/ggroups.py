@@ -176,7 +176,10 @@ class _SequenceData:
     is empty and no solver of degree n-2 is built.  With no relative
     (n+1)-simplex, Sq^2 p is the zero cochain: every H^{n-1} class lies in
     SH and its certificate is (0, p) (``top``), with no Sq^2 p taken here.
-    Empty degrees cost nothing in the solvers themselves.
+    Empty degrees cost nothing in the solvers themselves.  The terms read
+    only coordinates (``CohomologySolver.coords``), so at a dual-graph
+    degree, such as the top degree of a pseudomanifold pair, H^n is read
+    off the dual graph and its boundary echelon is never built.
     """
 
     def __init__(self, pair: ComplexPair, n: int) -> None:
@@ -186,17 +189,17 @@ class _SequenceData:
         self.top = not self.s_np1.simplices
 
         # image of Sq^2 from H^{n-2} inside H^n
-        self.b_rows = [self.s_n._decompose_bits(sq2)[0]
+        self.b_rows = [self.s_n.coords(sq2)
                        for _, sq2 in sq2_of_basis(pair, n - 2)]
         self.b_rank = rank(self.b_rows)
 
         # Sq^2 out of H^{n-1}, kernel = SH
         sq2_cols = ([0] * self.s_nm1.dim if self.top else
-                    [self.s_np1._decompose_bits(sq(2, p))[0] for p in self.s_nm1.basis])
+                    [self.s_np1.coords(sq(2, p)) for p in self.s_nm1.basis])
         self.sh_kernel: List[int] = nullspace(sq2_cols)
 
         # phi on classes: [p] -> [Sq^1 p], one row per SH kernel vector
-        phi_cols = [self.s_n._decompose_bits(sq(1, p))[0] for p in self.s_nm1.basis]
+        phi_cols = [self.s_n.coords(sq(1, p)) for p in self.s_nm1.basis]
         self.phi_rows = [combine(phi_cols, kv) for kv in self.sh_kernel]
 
         self.qh_dim = self.s_n.dim - self.b_rank
@@ -302,7 +305,7 @@ def g_is_trivial(a: GPair) -> bool:
     if any(coords):
         return False
     w_corr = a.w + sq(2, cert)
-    bits = data.s_n._decompose_bits(w_corr)[0]
+    bits = data.s_n.coords(w_corr)
     return rank(data.b_rows + [bits]) == data.b_rank
 
 

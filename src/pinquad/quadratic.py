@@ -417,7 +417,7 @@ def pushforward(f: SimplicialMap, q_source: QuadraticFunction,
     n = target.n
     top_target = solver(target.pair, n)
     top_source = solver(q_source.manifold.pair, n)
-    rows = [top_source._decompose_bits(pullback(f, w))[0] for w in top_target.basis]
+    rows = [top_source.coords(pullback(f, w)) for w in top_target.basis]
     if _gf2.rank(rows) < top_source.dim:
         raise DegreeZero("pullback is not onto in degree n; even mod-2 degree")
     return _restrict(q_source, target, lambda p: pullback(f, p))
